@@ -9,6 +9,8 @@
 #   PROTOCOLS   protocols that must each have at least one row
 #   EXTRA_KEYS  additional JSON keys that must appear (KV tail-latency rows)
 #   EXTRA_ARGS  additional CLI flags (the chaos smoke's --chaos --seed=N)
+#   FORBIDDEN   a regex that must match neither the JSON nor stdout (taken
+#               whole, not split on commas)
 if(NOT DEFINED PROTOCOLS)
   set(PROTOCOLS "Lock,RWLock,BravoRW,SOLERO")
 endif()
@@ -62,3 +64,10 @@ foreach(BAD "\"ops_per_sec\": }" "\"ops_per_sec\": ," "nan" "inf")
     message(FATAL_ERROR "${JSON} contains malformed value near '${BAD}'")
   endif()
 endforeach()
+# Bench-specific wrong outputs (e.g. a zero-throughput saturation row).
+if(DEFINED FORBIDDEN)
+  if("${DOC}" MATCHES "${FORBIDDEN}" OR "${STDOUT}" MATCHES "${FORBIDDEN}")
+    message(FATAL_ERROR "${BENCH} output matches forbidden '${FORBIDDEN}': "
+                        "'${CMAKE_MATCH_0}'")
+  endif()
+endif()

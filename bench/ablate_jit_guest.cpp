@@ -104,11 +104,8 @@ int main(int Argc, char **Argv) {
                   2),
               TablePrinter::percent(R[I].failureRatio(), 2)});
   T.print();
-  std::printf("\nthreaded/switch speedup: Conventional %.2fx, SOLERO %.2fx "
-              "(dispatch engine: %s)\n",
-              R[2].OpsPerSec / R[0].OpsPerSec, R[3].OpsPerSec / R[1].OpsPerSec,
-              Interpreter::threadedDispatchAvailable() ? "computed goto"
-                                                       : "pre-decoded switch");
+  std::printf("\nthreaded/switch speedup: Conventional %.2fx, SOLERO %.2fx\n",
+              R[2].OpsPerSec / R[0].OpsPerSec, R[3].OpsPerSec / R[1].OpsPerSec);
   std::printf("SOLERO/Conventional = %.3f (switch), %.3f (threaded); 95%% of "
               "guest transactions are\nread-only synchronized blocks and "
               "elide (0 lock-word traffic).\n",

@@ -14,9 +14,10 @@
 /// instead of silently throttling the arrival rate the way closed-loop
 /// harnesses do (the BRAVO paper's argument for tail-latency evaluation).
 ///
-/// Per policy the bench steps the offered load geometrically until p99
-/// blows past the SLO (or completions fall behind arrivals) and reports
-/// the last sustainable rate as the saturation throughput.
+/// Both modes run through one driver (OpenLoop) and differ only in how
+/// they serve an arrival. The default sweep steps the offered load per
+/// policy until p99 blows past the SLO (or completions fall behind
+/// arrivals); the last sustainable rate is the saturation throughput.
 ///
 ///   kv_service                         # full sweep, all five policies
 ///   kv_service --quick                 # CI smoke (tiny rates/windows)
@@ -29,11 +30,11 @@
 ///                                      # lock state before its sweep
 ///
 /// `--chaos` switches to the resilience soak (DESIGN.md §17): a fixed-rate
-/// open-loop run under a seeded ChaosDirector fault campaign, with
-/// deadline cancellation, token-bucket GET retries, priority load
-/// shedding, the stuck-speculation watchdog, and the ShardedKv torture
-/// oracles (exclusion, pair conservation, churn bitmap, leak) asserted at
-/// the end. Exit code is nonzero on any oracle violation.
+/// run under a seeded ChaosDirector fault campaign, with deadline
+/// cancellation, token-bucket GET retries, priority load shedding, the
+/// stuck-speculation watchdog, and the ShardedKv torture oracles
+/// (exclusion, pair conservation, churn bitmap, leak) asserted at the end.
+/// Exit code is nonzero on any oracle violation.
 ///
 ///   kv_service --chaos --seed=7 --duration-ms=5000 --json=BENCH_chaos.json
 ///
@@ -50,30 +51,27 @@
 #include "resilience/Watchdog.h"
 #include "stress/ChaosDirector.h"
 #include "support/Backoff.h"
+#include "support/CacheLine.h"
+#include "support/Clock.h"
 #include "support/Distributions.h"
 #include "support/LatencyHistogram.h"
 #include "support/NumaTopology.h"
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 using namespace solero;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Spins/sleeps until \p TargetNs. Coarse sleep for long gaps, yield for
 /// medium ones (the 1-vCPU container needs other workers to run), relax
@@ -93,6 +91,8 @@ void waitUntil(uint64_t TargetNs) {
   }
 }
 
+double usOf(uint64_t Ns) { return static_cast<double>(Ns) * 1e-3; }
+
 struct KvBenchParams {
   unsigned Shards = 16;
   uint64_t Keys = 1 << 16;
@@ -109,114 +109,138 @@ struct KvBenchParams {
   uint64_t BurstLenNs = 50ull * 1000 * 1000;
 };
 
+/// Prefills \p Store with keys [0, P.Keys), the Zipfian sampler's range.
+template <typename Store> void prefill(Store &S, const KvBenchParams &P) {
+  SplitMix64 Fill(P.Seed);
+  for (uint64_t K = 0; K < P.Keys; ++K)
+    S.put(K, Fill.next() >> 1);
+}
+
+//===----------------------------------------------------------------------===//
+// The open-loop driver
+//===----------------------------------------------------------------------===//
+
 struct LoadResult {
-  BenchResult Bench; ///< Ops = completed, OpsPerSec = achieved
-  double OfferedPerSec = 0;
+  BenchResult Bench; ///< Ops = served, OpsPerSec = achieved
   uint64_t P50Ns = 0, P99Ns = 0, P999Ns = 0, MaxNs = 0;
-  double HitRatio = 0;
+  double HitRatio = 0;          ///< sweep only
   uint64_t SkippedArrivals = 0; ///< shed by the bounded catch-up burst
 };
 
-/// One open-loop measurement of \p Store at \p OfferedPerSec total.
-template <typename Store>
-LoadResult runOpenLoop(Store &Store_, const KvBenchParams &P,
-                       const ZipfianSampler &Zipf, double OfferedPerSec) {
-  const int Threads = P.Threads;
-  const PoissonProcess Arrivals(OfferedPerSec / Threads);
-  std::vector<LatencyHistogram> Hists(static_cast<std::size_t>(Threads));
-  std::vector<uint64_t> Completed(static_cast<std::size_t>(Threads), 0);
-  std::vector<uint64_t> Hits(static_cast<std::size_t>(Threads), 0);
-  std::vector<uint64_t> Gets(static_cast<std::size_t>(Threads), 0);
-  std::vector<uint64_t> Skips(static_cast<std::size_t>(Threads), 0);
-  SpinBarrier Start(static_cast<uint32_t>(Threads) + 1);
-  ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
+/// One open-loop run over P.DurationNs at a fixed offered rate. Each of
+/// P.Threads pinned workers paces a Poisson share of the rate through an
+/// ArrivalSchedule and hands every due arrival to the caller's server.
+/// The server records each request it serves through record(), which
+/// charges latency from the request's scheduled time: a worker running
+/// behind pays its backlog in the tail.
+class OpenLoop {
+public:
+  OpenLoop(const KvBenchParams &P, double RatePerSec,
+           uint64_t CatchUpBurstMax = 1024)
+      : P(P), RatePerSec(RatePerSec), CatchUpBurstMax(CatchUpBurstMax),
+        Hists(static_cast<std::size_t>(P.Threads)),
+        Lag(std::make_unique<std::atomic<uint64_t>[]>(Hists.size())) {}
+  // Workers and the chaos shed monitor hold its address.
+  OpenLoop(const OpenLoop &) = delete;
+  OpenLoop &operator=(const OpenLoop &) = delete;
 
-  std::vector<std::thread> Workers;
-  Workers.reserve(static_cast<std::size_t>(Threads));
-  std::atomic<uint64_t> StartNs{0};
-  for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      if (P.Pin)
-        NumaTopology::pinCurrentThreadToCpu(static_cast<unsigned>(T) %
-                                            NumaTopology::cpuCount());
-      Xoshiro256StarStar Rng(P.Seed * 0x9e3779b97f4a7c15ULL +
-                             static_cast<uint64_t>(T) + 1);
-      LatencyHistogram &Hist = Hists[static_cast<std::size_t>(T)];
-      Start.arriveAndWait();
-      const uint64_t Begin = StartNs.load(std::memory_order_acquire);
-      const uint64_t End = Begin + P.DurationNs;
-      ArrivalSchedule Sched(Arrivals, Begin, Rng);
-      uint64_t Done = 0, Hit = 0, Get = 0;
-      for (;;) {
-        // Bounded catch-up: a stalled worker issues at most the last
-        // CatchUpBurstMax arrivals late and *counts* the rest as skipped
-        // (never silently re-anchors the schedule).
-        Sched.boundBacklog(nowNs(), Rng);
-        const uint64_t Next = Sched.nextArrivalNs();
-        if (Next >= End)
-          break;
-        if (nowNs() < Next)
-          waitUntil(Next);
-        // Dispatch one request. Latency is charged from the scheduled
-        // arrival: a thread running behind pays its backlog in the tail.
-        unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
-        if (Roll < P.PutPct) {
-          Store_.put(Zipf.nextScrambled(Rng), Rng.next() >> 1);
-        } else if (Roll < P.PutPct + P.DelPct) {
-          Store_.remove(Zipf.nextScrambled(Rng));
-        } else if (Roll < P.PutPct + P.DelPct + P.ScanPct) {
-          // The scan reads atomics, so it cannot be optimized away.
-          auto St = Store_.scanShard(static_cast<unsigned>(
-              Rng.nextBounded(Store_.shardCount())));
-          (void)St;
-        } else {
-          ++Get;
-          if (Store_.get(Zipf.nextScrambled(Rng)).has_value())
-            ++Hit;
-        }
-        uint64_t DoneAt = nowNs();
-        Hist.record(DoneAt > Next ? DoneAt - Next : 1);
-        ++Done;
-        // Burst phases compress the arrival gaps by BurstFactor.
-        bool Burst = P.BurstFactor > 1.0 &&
-                     (Next - Begin) % P.BurstPeriodNs < P.BurstLenNs;
-        Sched.advance(Rng, Burst ? P.BurstFactor : 1.0);
-      }
-      Completed[static_cast<std::size_t>(T)] = Done;
-      Hits[static_cast<std::size_t>(T)] = Hit;
-      Gets[static_cast<std::size_t>(T)] = Get;
-      Skips[static_cast<std::size_t>(T)] = Sched.skippedArrivals();
-    });
-
-  StartNs.store(nowNs(), std::memory_order_release);
-  Start.arriveAndWait();
-  for (auto &W : Workers)
-    W.join();
-  ProtocolCounters After = ThreadRegistry::instance().totalCounters();
-
-  LoadResult R;
-  R.OfferedPerSec = OfferedPerSec;
-  LatencyHistogram Merged;
-  uint64_t TotalGets = 0, TotalHits = 0;
-  for (int T = 0; T < Threads; ++T) {
-    Merged.mergeFrom(Hists[static_cast<std::size_t>(T)]);
-    R.Bench.Ops += Completed[static_cast<std::size_t>(T)];
-    TotalHits += Hits[static_cast<std::size_t>(T)];
-    TotalGets += Gets[static_cast<std::size_t>(T)];
-    R.SkippedArrivals += Skips[static_cast<std::size_t>(T)];
+  /// Records one request of worker \p T, due at \p DueNs, as served now.
+  /// Returns its latency.
+  uint64_t record(unsigned T, uint64_t DueNs) {
+    uint64_t DoneAt = nowNs();
+    uint64_t Lat = DoneAt > DueNs ? DoneAt - DueNs : 1;
+    Hists[T].record(Lat);
+    return Lat;
   }
-  R.Bench.Seconds = static_cast<double>(P.DurationNs) * 1e-9;
-  R.Bench.OpsPerSec = R.Bench.Seconds > 0
-                          ? static_cast<double>(R.Bench.Ops) / R.Bench.Seconds
-                          : 0.0; // --duration-ms=0 must not emit inf/nan
-  R.Bench.Delta = countersDelta(Before, After);
-  R.P50Ns = Merged.quantile(0.50);
-  R.P99Ns = Merged.quantile(0.99);
-  R.P999Ns = Merged.quantile(0.999);
-  R.MaxNs = Merged.max();
-  R.HitRatio = safeRatio(TotalHits, TotalGets);
-  return R;
-}
+
+  /// How far the most-behind worker trails its schedule right now.
+  uint64_t maxLagNs() const {
+    uint64_t Max = 0;
+    for (unsigned T = 0; T < Hists.size(); ++T)
+      Max = std::max(Max, Lag[T].load(std::memory_order_relaxed));
+    return Max;
+  }
+
+  /// Runs the window: \p Serve(T, ArrivalNs, Rng) once per due arrival on
+  /// worker T's thread; \p OnBegin(BeginNs) once the schedule is anchored,
+  /// just before the workers start.
+  template <typename ServeFn, typename BeginFn>
+  LoadResult run(ServeFn Serve, BeginFn OnBegin) {
+    const unsigned Threads = static_cast<unsigned>(Hists.size());
+    const PoissonProcess Arrivals(RatePerSec / Threads);
+    SpinBarrier Start(Threads + 1);
+    std::atomic<uint64_t> StartNs{0}, Skipped{0};
+    ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
+
+    std::vector<std::thread> Workers;
+    for (unsigned T = 0; T < Threads; ++T)
+      Workers.emplace_back([&, T] {
+        if (P.Pin)
+          NumaTopology::pinCurrentThreadToCpu(T % NumaTopology::cpuCount());
+        Xoshiro256StarStar Rng(P.Seed * 0x9e3779b97f4a7c15ULL + T + 1);
+        Start.arriveAndWait();
+        const uint64_t Begin = StartNs.load(std::memory_order_acquire);
+        const uint64_t End = Begin + P.DurationNs;
+        ArrivalSchedule Sched(Arrivals, Begin, Rng, CatchUpBurstMax);
+        for (;;) {
+          // Bounded catch-up: a stalled worker issues at most the last
+          // CatchUpBurstMax arrivals late and *counts* the rest as
+          // skipped (never silently re-anchors the schedule).
+          Sched.boundBacklog(nowNs(), Rng);
+          const uint64_t Next = Sched.nextArrivalNs();
+          if (Next >= End)
+            break;
+          uint64_t Now = nowNs();
+          Lag[T].store(Now > Next ? Now - Next : 0, std::memory_order_relaxed);
+          if (Now < Next)
+            waitUntil(Next);
+          // Burst phases compress the arrival gaps by BurstFactor.
+          bool Burst = P.BurstFactor > 1.0 &&
+                       (Next - Begin) % P.BurstPeriodNs < P.BurstLenNs;
+          Sched.advance(Rng, Burst ? P.BurstFactor : 1.0);
+          Serve(T, Next, Rng);
+        }
+        Skipped.fetch_add(Sched.skippedArrivals(), std::memory_order_relaxed);
+        Lag[T].store(0, std::memory_order_relaxed);
+      });
+
+    const uint64_t Begin = nowNs();
+    StartNs.store(Begin, std::memory_order_release);
+    OnBegin(Begin);
+    Start.arriveAndWait();
+    for (auto &W : Workers)
+      W.join();
+
+    LoadResult R;
+    R.SkippedArrivals = Skipped.load(std::memory_order_relaxed);
+    LatencyHistogram Merged;
+    for (const LatencyHistogram &H : Hists)
+      Merged.mergeFrom(H);
+    R.Bench.Ops = Merged.count();
+    R.Bench.Seconds = static_cast<double>(P.DurationNs) * 1e-9;
+    R.Bench.OpsPerSec =
+        R.Bench.Seconds > 0 ? static_cast<double>(R.Bench.Ops) / R.Bench.Seconds
+                            : 0.0; // --duration-ms=0 must not emit inf/nan
+    R.Bench.Delta = countersDelta(Before,
+                                  ThreadRegistry::instance().totalCounters());
+    R.P50Ns = Merged.quantile(0.50);
+    R.P99Ns = Merged.quantile(0.99);
+    R.P999Ns = Merged.quantile(0.999);
+    R.MaxNs = Merged.max();
+    return R;
+  }
+
+private:
+  const KvBenchParams &P;
+  double RatePerSec;
+  uint64_t CatchUpBurstMax;
+  std::vector<LatencyHistogram> Hists;
+  std::unique_ptr<std::atomic<uint64_t>[]> Lag;
+};
+
+//===----------------------------------------------------------------------===//
+// Rate sweep (default): the Zipfian GET/PUT/DELETE/SCAN mix
+//===----------------------------------------------------------------------===//
 
 struct SweepParams {
   double BaseRate = 30000;
@@ -225,21 +249,51 @@ struct SweepParams {
   uint64_t SloNs = 2000ull * 1000; // p99 SLO
 };
 
-double usOf(uint64_t Ns) { return static_cast<double>(Ns) * 1e-3; }
+/// One sweep step: each arrival is served as one op of the mix.
+template <typename Store>
+LoadResult runSweepStep(Store &S, const KvBenchParams &P,
+                        const ZipfianSampler &Zipf, double OfferedPerSec) {
+  struct alignas(CacheLineSize) GetCounts {
+    uint64_t Gets = 0, Hits = 0;
+  };
+  std::vector<GetCounts> Counts(static_cast<std::size_t>(P.Threads));
+  OpenLoop Driver(P, OfferedPerSec);
+  auto Serve = [&](unsigned T, uint64_t Due, Xoshiro256StarStar &Rng) {
+    unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
+    if (Roll < P.PutPct) {
+      S.put(Zipf.nextScrambled(Rng), Rng.next() >> 1);
+    } else if (Roll < P.PutPct + P.DelPct) {
+      S.remove(Zipf.nextScrambled(Rng));
+    } else if (Roll < P.PutPct + P.DelPct + P.ScanPct) {
+      // The scan reads atomics, so it cannot be optimized away.
+      (void)S.scanShard(
+          static_cast<unsigned>(Rng.nextBounded(S.shardCount())));
+    } else {
+      ++Counts[T].Gets;
+      if (S.get(Zipf.nextScrambled(Rng)).has_value())
+        ++Counts[T].Hits;
+    }
+    Driver.record(T, Due);
+  };
+  LoadResult R = Driver.run(Serve, [](uint64_t) {});
+  uint64_t Gets = 0, Hits = 0;
+  for (const GetCounts &C : Counts) {
+    Gets += C.Gets;
+    Hits += C.Hits;
+  }
+  R.HitRatio = safeRatio(Hits, Gets);
+  return R;
+}
 
 /// Runs one policy: prefill once, then step the offered load until the
-/// SLO breaks. Emits one JSON row per step plus a saturation summary row.
+/// SLO breaks. Emits one JSON row per step plus a saturation summary row
+/// when at least one step met the SLO.
 template <typename Policy>
-void runPolicy(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
-               const SweepParams &Sweep, const ZipfianSampler &Zipf,
-               image::ImageBuilder *Ckpt, const image::LoadedImage *Warm) {
-  kv::KvStoreConfig C;
-  C.Shards = P.Shards;
-  C.InitialShardCapacity = 64;
-  kv::ShardedKvStore<Policy> Store(*Env.Ctx, C);
-  SplitMix64 Fill(P.Seed);
-  for (uint64_t K = 0; K < P.Keys; ++K)
-    Store.put(K, Fill.next() >> 1);
+void runSweep(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
+              const SweepParams &Sweep, const ZipfianSampler &Zipf,
+              image::ImageBuilder *Ckpt, const image::LoadedImage *Warm) {
+  kv::ShardedKvStore<Policy> Store(*Env.Ctx, {P.Shards, 64});
+  prefill(Store, P);
 
   std::printf("\n--- %s ---\n", Policy::name());
   // Rehydrate the per-shard adaptive lock state (SOLERO controllers,
@@ -261,13 +315,12 @@ void runPolicy(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   TablePrinter T({"offered/s", "achieved/s", "p50 us", "p99 us", "p999 us",
                   "max us", "rmw/op", "hit%", "verdict"});
   double Rate = Sweep.BaseRate;
-  LoadResult Sat;
+  std::optional<LoadResult> Sat; // the last step that met the SLO
   bool Saturated = false;
   for (int Step = 0; Step < Sweep.Steps; ++Step) {
-    LoadResult R = runOpenLoop(Store, P, Zipf, Rate);
-    bool MetSlo = R.P99Ns <= Sweep.SloNs &&
-                  R.Bench.OpsPerSec >= 0.9 * R.OfferedPerSec;
-    T.addRow({TablePrinter::num(R.OfferedPerSec, 0),
+    LoadResult R = runSweepStep(Store, P, Zipf, Rate);
+    bool MetSlo = R.P99Ns <= Sweep.SloNs && R.Bench.OpsPerSec >= 0.9 * Rate;
+    T.addRow({TablePrinter::num(Rate, 0),
               TablePrinter::num(R.Bench.OpsPerSec, 0),
               TablePrinter::num(usOf(R.P50Ns), 1),
               TablePrinter::num(usOf(R.P99Ns), 1),
@@ -277,7 +330,7 @@ void runPolicy(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
               TablePrinter::percent(R.HitRatio, 1),
               MetSlo ? "ok" : "SATURATED"});
     Json.add("sweep", Policy::name(), P.Threads, R.Bench,
-             {{"offered_per_sec", R.OfferedPerSec},
+             {{"offered_per_sec", Rate},
               {"p50_us", usOf(R.P50Ns)},
               {"p99_us", usOf(R.P99Ns)},
               {"p999_us", usOf(R.P999Ns)},
@@ -292,18 +345,25 @@ void runPolicy(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
     Rate *= Sweep.Factor;
   }
   T.print();
-  double SatRate = Sat.Bench.OpsPerSec;
-  std::printf("%s saturation: %s ops/s within p99 SLO of %s us%s "
-              "(GET-path rmw/op %.2f, %llu shard resizes)\n",
-              Policy::name(), TablePrinter::num(SatRate, 0).c_str(),
-              TablePrinter::num(usOf(Sweep.SloNs), 0).c_str(),
-              Saturated ? "" : " [sweep exhausted, raise --sweep-steps]",
-              Sat.Bench.rmwPerOp(),
-              static_cast<unsigned long long>(Store.totalResizes()));
-  Json.add("saturation", Policy::name(), P.Threads, Sat.Bench,
-           {{"sat_ops_per_sec", SatRate},
-            {"slo_us", usOf(Sweep.SloNs)},
-            {"p99_us", usOf(Sat.P99Ns)}});
+  if (!Sat) {
+    std::printf("%s saturation: not reached; the first step already misses "
+                "the p99 SLO of %s us [lower --rate]\n",
+                Policy::name(),
+                TablePrinter::num(usOf(Sweep.SloNs), 0).c_str());
+  } else {
+    std::printf("%s saturation: %s ops/s within p99 SLO of %s us%s "
+                "(GET-path rmw/op %.2f, %llu shard resizes)\n",
+                Policy::name(),
+                TablePrinter::num(Sat->Bench.OpsPerSec, 0).c_str(),
+                TablePrinter::num(usOf(Sweep.SloNs), 0).c_str(),
+                Saturated ? "" : " [sweep exhausted, raise --sweep-steps]",
+                Sat->Bench.rmwPerOp(),
+                static_cast<unsigned long long>(Store.totalResizes()));
+    Json.add("saturation", Policy::name(), P.Threads, Sat->Bench,
+             {{"sat_ops_per_sec", Sat->Bench.OpsPerSec},
+              {"slo_us", usOf(Sweep.SloNs)},
+              {"p99_us", usOf(Sat->P99Ns)}});
+  }
   // All workers are joined (quiescent), so the controllers can be
   // snapshotted into the warm image for the next run.
   if (Ckpt)
@@ -332,24 +392,54 @@ struct ChaosSoakParams {
 constexpr uint64_t ChaosPairKeyBase = 1ull << 47;
 constexpr uint64_t ChaosChurnKeyBase = 1ull << 40;
 constexpr unsigned ChaosChurnPerThread = 256;
+constexpr std::size_t RetryQueueCap = 64;
 
 uint64_t chaosPairKeyA(unsigned S) { return ChaosPairKeyBase | (2ull * S); }
-uint64_t chaosPairKeyB(unsigned S) {
-  return ChaosPairKeyBase | (2ull * S + 1);
-}
-uint64_t chaosChurnKey(int T, unsigned I) {
-  return ChaosChurnKeyBase | (static_cast<uint64_t>(T) << 20) | I;
+uint64_t chaosPairKeyB(unsigned S) { return chaosPairKeyA(S) + 1; }
+uint64_t chaosChurnKey(uint64_t T, unsigned I) {
+  return ChaosChurnKeyBase | (T << 20) | I;
 }
 
-struct ChaosWorkerResult {
-  uint64_t Done = 0; ///< admitted, in-deadline, dispatched requests
+/// One chaos worker's retry machinery and oracle evidence.
+struct alignas(CacheLineSize) ChaosWorker {
+  ChaosWorker(const ChaosSoakParams &CS, uint64_t BackoffSeed,
+              unsigned Shards)
+      : Budget(CS.RetryPerSec, CS.RetryBurst, nowNs()),
+        Backoff(64, 8192, JitterMode::FullJitter, BackoffSeed),
+        PairBumps(Shards, 0), ChurnBits((ChaosChurnPerThread + 63) / 64, 0) {}
+
+  struct RetryEntry {
+    uint64_t Key, AtNs;
+    resilience::Deadline D;
+  };
+
+  /// Re-offers a cancelled GET of \p Key after a jittered backoff, within
+  /// the queue cap and the token budget (no retry storms).
+  void offerRetry(uint64_t Key, uint64_t DeadlineNs) {
+    if (RetryQ.size() >= RetryQueueCap) {
+      ++RetryDropped;
+    } else if (!Budget.tryAcquire(nowNs())) {
+      ++RetryDenied;
+    } else {
+      uint64_t At = nowNs() + static_cast<uint64_t>(Backoff.nextSpins()) * 1000;
+      RetryQ.push_back(
+          {Key, At, resilience::Deadline::fromScheduled(At, DeadlineNs)});
+      ++Retries;
+    }
+  }
+
+  resilience::RetryBudget Budget;
+  // The jittered sequence is drawn in "spins" and spent as microseconds
+  // of retry delay: same bounded-exponential shape, a unit the retry path
+  // can actually wait.
+  ExpBackoff Backoff;
+  std::deque<RetryEntry> RetryQ; ///< still queued at the end: dropped
   uint64_t ShedCount = 0;
   uint64_t Timeouts = 0; ///< cancelled before touching a shard
   uint64_t Retries = 0;  ///< granted + scheduled retries
   uint64_t RetryDenied = 0;
   uint64_t RetryDropped = 0;
-  uint64_t Violations = 0; ///< inline oracle hits (exclusion, pair read)
-  uint64_t Skipped = 0;    ///< arrivals shed by the bounded catch-up
+  uint64_t Violations = 0;         ///< inline oracle hits (exclusion, pair)
   std::vector<uint64_t> PairBumps; ///< per-shard pair writes by this worker
   std::vector<uint64_t> ChurnBits; ///< live-key bitmap (owner-exclusive)
 };
@@ -359,13 +449,8 @@ struct ChaosWorkerResult {
 template <typename Policy>
 uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
                       const ZipfianSampler &Zipf, const ChaosSoakParams &CS) {
-  kv::KvStoreConfig C;
-  C.Shards = P.Shards;
-  C.InitialShardCapacity = 64;
-  kv::ShardedKvStore<Policy> Store(*Env.Ctx, C);
-  SplitMix64 Fill(P.Seed);
-  for (uint64_t K = 0; K < P.Keys; ++K)
-    Store.put(K, Fill.next() >> 1);
+  kv::ShardedKvStore<Policy> Store(*Env.Ctx, {P.Shards, 64});
+  prefill(Store, P);
   const unsigned ShardCount = Store.shardCount();
   // Seed the per-shard invariant pair A==B==0 and the exclusion tokens.
   for (unsigned S = 0; S < ShardCount; ++S)
@@ -373,20 +458,17 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
       Tab.put(chaosPairKeyA(S), 0);
       Tab.put(chaosPairKeyB(S), 0);
     });
-  std::unique_ptr<std::atomic<uint32_t>[]> PairToken(
-      new std::atomic<uint32_t>[ShardCount]);
-  for (unsigned S = 0; S < ShardCount; ++S)
-    PairToken[S].store(0, std::memory_order_relaxed);
+  auto PairToken = std::make_unique<std::atomic<uint32_t>[]>(ShardCount);
 
-  // The watchdog guards every shard's speculation state for the policies
-  // that have any (the others still get the stall detector).
+  // The watchdog guards each shard's elision controller or BRAVO bias,
+  // where the policy has one; every policy gets the stall detector.
   resilience::SpeculationWatchdog Wd(CS.Wd);
   for (unsigned S = 0; S < ShardCount; ++S) {
-    if constexpr (std::is_same_v<Policy, SoleroPolicy> ||
-                  std::is_same_v<Policy, AdaptiveSoleroPolicy>)
-      Wd.watchController(&Store.shardPolicy(S).protocol().controller());
-    else if constexpr (std::is_same_v<Policy, BravoRwPolicy>)
-      Wd.watchBravo(&Store.shardPolicy(S).protocol());
+    auto &Lock = Store.shardPolicy(S);
+    if constexpr (requires { Lock.protocol().controller(); })
+      Wd.watchController(&Lock.protocol().controller());
+    else if constexpr (requires { Lock.protocol().revocations(); })
+      Wd.watchBravo(&Lock.protocol());
   }
 
   stress::ChaosConfig CC = CS.Chaos;
@@ -412,22 +494,22 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   std::printf("\n--- %s (chaos soak) ---\n%s", Policy::name(),
               Director.scheduleString().c_str());
 
-  const int Threads = P.Threads;
-  resilience::ShedController Shed(CS.Shed);
+  const unsigned Threads = static_cast<unsigned>(P.Threads);
+  OpenLoop Driver(P, CS.RatePerSec, CS.CatchUpBurstMax);
+  std::vector<ChaosWorker> Workers;
+  Workers.reserve(Threads);
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back(CS, P.Seed + T, ShardCount);
+
   // Double-buffered per-thread window histograms: workers record into the
   // selected bank, the monitor flips the selector and reads/resets the
   // retired bank (LatencyHistogram's relaxed atomics make the brief
   // overlap a counting blur, not a race).
+  resilience::ShedController Shed(CS.Shed);
   std::vector<LatencyHistogram> Banks[2]{
       std::vector<LatencyHistogram>(static_cast<std::size_t>(Threads)),
       std::vector<LatencyHistogram>(static_cast<std::size_t>(Threads))};
   std::atomic<uint32_t> BankSel{0};
-  std::vector<LatencyHistogram> Admitted(static_cast<std::size_t>(Threads));
-  std::unique_ptr<std::atomic<uint64_t>[]> Lag(
-      new std::atomic<uint64_t>[static_cast<std::size_t>(Threads)]);
-  for (int T = 0; T < Threads; ++T)
-    Lag[T].store(0, std::memory_order_relaxed);
-
   std::atomic<bool> MonitorRun{true};
   std::thread Monitor([&] {
     while (MonitorRun.load(std::memory_order_acquire)) {
@@ -435,246 +517,122 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
       while (MonitorRun.load(std::memory_order_acquire) &&
              nowNs() < WindowEnd)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      uint32_t Old = BankSel.load(std::memory_order_relaxed);
-      BankSel.store(Old ^ 1, std::memory_order_release);
+      uint32_t Old = BankSel.fetch_xor(1, std::memory_order_acq_rel);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       LatencyHistogram Win;
       for (auto &H : Banks[Old]) {
         Win.mergeFrom(H);
         H.reset();
       }
-      uint64_t Backlog = 0;
-      for (int T = 0; T < Threads; ++T) {
-        uint64_t L = Lag[T].load(std::memory_order_relaxed);
-        if (L > Backlog)
-          Backlog = L;
-      }
-      Shed.onWindow(Win.count() ? Win.quantile(0.99) : 0, Backlog);
+      Shed.onWindow(Win.count() ? Win.quantile(0.99) : 0, Driver.maxLagNs());
     }
   });
 
-  const PoissonProcess Arrivals(CS.RatePerSec / Threads);
-  std::vector<ChaosWorkerResult> Results(static_cast<std::size_t>(Threads));
-  SpinBarrier Start(static_cast<uint32_t>(Threads) + 1);
-  std::atomic<uint64_t> StartNs{0};
-  ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
+  // One admitted request against shard \p S: bracketed for the watchdog,
+  // delayed by any slow-shard fault, recorded into both latency views.
+  auto Dispatch = [&](unsigned T, unsigned S, uint64_t DueNs, auto &&Op) {
+    const uint32_t Slot = ThreadRegistry::current().slot();
+    Wd.opBegin(Slot, nowNs());
+    if (uint64_t Delay = Director.shardDelayNs(S))
+      waitUntil(nowNs() + Delay);
+    Op();
+    Wd.opEnd(Slot);
+    Banks[BankSel.load(std::memory_order_acquire)][T].record(
+        Driver.record(T, DueNs));
+  };
 
-  std::vector<std::thread> Workers;
-  Workers.reserve(static_cast<std::size_t>(Threads));
-  for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      if (P.Pin)
-        NumaTopology::pinCurrentThreadToCpu(static_cast<unsigned>(T) %
-                                            NumaTopology::cpuCount());
-      const uint32_t Slot = ThreadRegistry::current().slot();
-      Xoshiro256StarStar Rng(P.Seed * 0x9e3779b97f4a7c15ULL +
-                             static_cast<uint64_t>(T) + 101);
-      ChaosWorkerResult &R = Results[static_cast<std::size_t>(T)];
-      R.PairBumps.assign(ShardCount, 0);
-      R.ChurnBits.assign((ChaosChurnPerThread + 63) / 64, 0);
-      resilience::RetryBudget Budget(CS.RetryPerSec, CS.RetryBurst, nowNs());
-      // The jittered sequence is drawn in "spins" and spent here as
-      // microseconds of retry delay: same bounded-exponential shape, a
-      // unit the retry path can actually wait.
-      ExpBackoff Backoff(64, 8192, JitterMode::FullJitter,
-                         P.Seed + static_cast<uint64_t>(T));
-      struct RetryEntry {
-        uint64_t Key;
-        uint64_t AtNs;
-        resilience::Deadline D;
-      };
-      std::deque<RetryEntry> RetryQ;
-      constexpr std::size_t RetryQueueCap = 64;
-
-      // The deadline clock sees the injected skew; the latency accounting
-      // (charged from scheduled arrivals on the real clock) does not.
-      auto SkewedNow = [&] {
-        int64_t Skew = Director.clockSkewNs();
-        uint64_t Now = nowNs();
-        if (Skew >= 0)
-          return Now + static_cast<uint64_t>(Skew);
-        uint64_t Back = static_cast<uint64_t>(-Skew);
-        return Now > Back ? Now - Back : 0;
-      };
-
-      auto RecordAdmitted = [&](uint64_t ChargeFromNs) {
-        uint64_t DoneAt = nowNs();
-        uint64_t Lat = DoneAt > ChargeFromNs ? DoneAt - ChargeFromNs : 1;
-        Admitted[static_cast<std::size_t>(T)].record(Lat);
-        Banks[BankSel.load(std::memory_order_acquire)]
-             [static_cast<std::size_t>(T)]
-                 .record(Lat);
-        ++R.Done;
-      };
-
-      // GET against \p Key as one watched, slow-shard-delayed dispatch.
-      auto DispatchGet = [&](uint64_t Key, uint64_t ChargeFromNs) {
-        unsigned S = Store.shardOf(Key);
-        Wd.opBegin(Slot, nowNs());
-        uint64_t Delay = Director.shardDelayNs(S);
-        if (Delay)
-          waitUntil(nowNs() + Delay);
-        (void)Store.get(Key);
-        Wd.opEnd(Slot);
-        RecordAdmitted(ChargeFromNs);
-      };
-
-      auto DrainRetries = [&] {
-        while (!RetryQ.empty() && RetryQ.front().AtNs <= nowNs()) {
-          RetryEntry E = RetryQ.front();
-          RetryQ.pop_front();
-          if (E.D.expired(SkewedNow())) {
-            ++R.Timeouts; // the retry itself missed its fresh deadline
-            continue;
-          }
-          DispatchGet(E.Key, E.AtNs);
-          Backoff.reset(); // a served retry resets the backoff run
-        }
-      };
-
-      Start.arriveAndWait();
-      const uint64_t Begin = StartNs.load(std::memory_order_acquire);
-      const uint64_t End = Begin + P.DurationNs;
-      ArrivalSchedule Sched(Arrivals, Begin, Rng, CS.CatchUpBurstMax);
-      for (;;) {
-        DrainRetries();
-        Sched.boundBacklog(nowNs(), Rng);
-        const uint64_t Next = Sched.nextArrivalNs();
-        if (Next >= End)
-          break;
-        uint64_t Now = nowNs();
-        Lag[T].store(Now > Next ? Now - Next : 0,
-                     std::memory_order_relaxed);
-        if (Now < Next)
-          waitUntil(Next);
-        Sched.advance(Rng);
-
-        // Draw the op: mutations (pair bump + churn) 8%, scans 4%,
-        // point GETs the rest.
-        unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
-        resilience::OpPriority Pri =
-            Roll < 8 ? resilience::OpPriority::Mutate
-                     : (Roll < 12 ? resilience::OpPriority::Scan
-                                  : resilience::OpPriority::Get);
-        if (!Shed.admit(Pri)) {
-          ++R.ShedCount;
-          continue;
-        }
-        resilience::Deadline D =
-            resilience::Deadline::fromScheduled(Next, CS.DeadlineNs);
-        if (D.expired(SkewedNow())) {
-          // Cancelled before touching a shard, so a retry can never
-          // double-apply. Only idempotent GETs are worth re-offering,
-          // and only within the token budget (no retry storms).
-          ++R.Timeouts;
-          if (Pri == resilience::OpPriority::Get) {
-            if (RetryQ.size() >= RetryQueueCap)
-              ++R.RetryDropped;
-            else if (!Budget.tryAcquire(nowNs()))
-              ++R.RetryDenied;
-            else {
-              uint64_t WaitNs =
-                  static_cast<uint64_t>(Backoff.nextSpins()) * 1000;
-              uint64_t At = nowNs() + WaitNs;
-              RetryQ.push_back(
-                  {Zipf.nextScrambled(Rng), At,
-                   resilience::Deadline::fromScheduled(At, CS.DeadlineNs)});
-              ++R.Retries;
-            }
-          }
-          continue;
-        }
-
-        if (Roll < 2) {
-          // Pair bump: exclusive-writer oracle. The token would be seen
-          // nonzero by a second writer only if mutual exclusion broke.
-          unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
-          Wd.opBegin(Slot, nowNs());
-          uint64_t Delay = Director.shardDelayNs(S);
-          if (Delay)
-            waitUntil(nowNs() + Delay);
-          Store.writeShard(S, [&](auto &Tab) {
-            if (PairToken[S].exchange(1, std::memory_order_acq_rel) != 0)
-              ++R.Violations;
-            auto A = Tab.get(chaosPairKeyA(S));
-            uint64_t V = (A.Found ? A.Value : 0) + 1;
-            Tab.put(chaosPairKeyA(S), V);
-            Tab.put(chaosPairKeyB(S), V);
-            PairToken[S].store(0, std::memory_order_release);
-          });
-          ++R.PairBumps[S];
-          Wd.opEnd(Slot);
-          RecordAdmitted(Next);
-        } else if (Roll < 6) {
-          // Churn PUT on an owner-exclusive key; bitmap is the oracle.
-          unsigned I =
-              static_cast<unsigned>(Rng.nextBounded(ChaosChurnPerThread));
-          uint64_t Key = chaosChurnKey(T, I);
-          Wd.opBegin(Slot, nowNs());
-          uint64_t Delay = Director.shardDelayNs(Store.shardOf(Key));
-          if (Delay)
-            waitUntil(nowNs() + Delay);
-          Store.put(Key, Rng.next() >> 1);
-          Wd.opEnd(Slot);
-          R.ChurnBits[I / 64] |= 1ull << (I % 64);
-          RecordAdmitted(Next);
-        } else if (Roll < 8) {
-          // Churn DELETE.
-          unsigned I =
-              static_cast<unsigned>(Rng.nextBounded(ChaosChurnPerThread));
-          uint64_t Key = chaosChurnKey(T, I);
-          Wd.opBegin(Slot, nowNs());
-          uint64_t Delay = Director.shardDelayNs(Store.shardOf(Key));
-          if (Delay)
-            waitUntil(nowNs() + Delay);
-          Store.remove(Key);
-          Wd.opEnd(Slot);
-          R.ChurnBits[I / 64] &= ~(1ull << (I % 64));
-          RecordAdmitted(Next);
-        } else if (Roll < 12) {
-          // Scan + pair-read oracle: one read section must see A == B.
-          // The verdict is the closure's return value so policies that
-          // re-execute failed read attempts (SeqLock) stay side-effect
-          // free until validation succeeds.
-          unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
-          Wd.opBegin(Slot, nowNs());
-          uint64_t Delay = Director.shardDelayNs(S);
-          if (Delay)
-            waitUntil(nowNs() + Delay);
-          uint64_t Bad =
-              Store.readShard(S, [&](const auto &Tab, auto &G) -> uint64_t {
-                (void)G;
-                auto A = Tab.get(chaosPairKeyA(S));
-                auto B = Tab.get(chaosPairKeyB(S));
-                uint64_t Torn =
-                    (A.Found && B.Found && A.Value == B.Value) ? 0 : 1;
-                return Torn + (Tab.scan().LiveEntries ? 0 : 0);
-              });
-          Wd.opEnd(Slot);
-          R.Violations += Bad;
-          RecordAdmitted(Next);
-        } else {
-          DispatchGet(Zipf.nextScrambled(Rng), Next);
-        }
+  // Retries due by now are served before the worker waits for its next
+  // arrival, each charged from its own scheduled retry time.
+  auto DrainRetries = [&](unsigned T, ChaosWorker &W) {
+    while (!W.RetryQ.empty() && W.RetryQ.front().AtNs <= nowNs()) {
+      ChaosWorker::RetryEntry E = W.RetryQ.front();
+      W.RetryQ.pop_front();
+      if (E.D.expired(Director.deadlineNowNs())) {
+        ++W.Timeouts; // the retry itself missed its fresh deadline
+        continue;
       }
-      // Past End: pending retries are abandoned (counted as dropped).
-      R.RetryDropped += RetryQ.size();
-      R.Skipped = Sched.skippedArrivals();
-      Lag[T].store(0, std::memory_order_relaxed);
-    });
+      Dispatch(T, Store.shardOf(E.Key), E.AtNs,
+               [&] { (void)Store.get(E.Key); });
+      W.Backoff.reset(); // a served retry resets the backoff run
+    }
+  };
+
+  // The chaos way of serving an arrival: admission, deadline, then one op
+  // of the oracle mix (mutations 8%, scans 4%, point GETs the rest).
+  auto Serve = [&](unsigned T, uint64_t Due, Xoshiro256StarStar &Rng) {
+    ChaosWorker &W = Workers[T];
+    unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
+    resilience::OpPriority Pri =
+        Roll < 8 ? resilience::OpPriority::Mutate
+                 : (Roll < 12 ? resilience::OpPriority::Scan
+                              : resilience::OpPriority::Get);
+    if (!Shed.admit(Pri)) {
+      ++W.ShedCount;
+    } else if (resilience::Deadline::fromScheduled(Due, CS.DeadlineNs)
+                   .expired(Director.deadlineNowNs())) {
+      // Cancelled before touching a shard, so a retry can never
+      // double-apply. Only idempotent GETs are worth re-offering.
+      ++W.Timeouts;
+      if (Pri == resilience::OpPriority::Get)
+        W.offerRetry(Zipf.nextScrambled(Rng), CS.DeadlineNs);
+    } else if (Roll < 2) {
+      // Pair bump: exclusive-writer oracle. The token would be seen
+      // nonzero by a second writer only if mutual exclusion broke.
+      unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
+      Dispatch(T, S, Due, [&] {
+        Store.writeShard(S, [&](auto &Tab) {
+          if (PairToken[S].exchange(1, std::memory_order_acq_rel) != 0)
+            ++W.Violations;
+          auto A = Tab.get(chaosPairKeyA(S));
+          uint64_t V = (A.Found ? A.Value : 0) + 1;
+          Tab.put(chaosPairKeyA(S), V);
+          Tab.put(chaosPairKeyB(S), V);
+          PairToken[S].store(0, std::memory_order_release);
+        });
+        ++W.PairBumps[S];
+      });
+    } else if (Roll < 8) {
+      // Churn PUT or DELETE on an owner-exclusive key (bitmap oracle).
+      unsigned I = static_cast<unsigned>(Rng.nextBounded(ChaosChurnPerThread));
+      uint64_t Key = chaosChurnKey(T, I);
+      uint64_t Bit = 1ull << (I % 64);
+      Dispatch(T, Store.shardOf(Key), Due, [&] {
+        if (Roll < 6) {
+          Store.put(Key, Rng.next() >> 1);
+          W.ChurnBits[I / 64] |= Bit;
+        } else {
+          Store.remove(Key);
+          W.ChurnBits[I / 64] &= ~Bit;
+        }
+      });
+    } else if (Roll < 12) {
+      // Scan + pair-read oracle: one read section must see A == B. The
+      // verdict is the closure's return value so policies that re-execute
+      // failed reads (SeqLock) stay side-effect free until validation.
+      unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
+      Dispatch(T, S, Due, [&] {
+        W.Violations +=
+            Store.readShard(S, [&](const auto &Tab, auto &) -> uint64_t {
+              auto A = Tab.get(chaosPairKeyA(S));
+              auto B = Tab.get(chaosPairKeyB(S));
+              (void)Tab.scan();
+              return A.Found && B.Found && A.Value == B.Value ? 0 : 1;
+            });
+      });
+    } else {
+      uint64_t Key = Zipf.nextScrambled(Rng);
+      Dispatch(T, Store.shardOf(Key), Due, [&] { (void)Store.get(Key); });
+    }
+    DrainRetries(T, W);
+  };
 
   Wd.start();
-  uint64_t Begin = nowNs();
-  StartNs.store(Begin, std::memory_order_release);
-  Director.start(Begin);
-  Start.arriveAndWait();
-  for (auto &W : Workers)
-    W.join();
+  LoadResult Run = Driver.run(
+      Serve, [&](uint64_t BeginNs) { Director.start(BeginNs); });
   Director.stop();
   MonitorRun.store(false, std::memory_order_release);
   Monitor.join();
   Wd.stop();
-  ProtocolCounters After = ThreadRegistry::instance().totalCounters();
 
   // --- End-of-run oracles (quiescent, so every check is exact) -----------
   uint64_t Violations = 0;
@@ -685,147 +643,102 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
     std::fprintf(stderr, "\n");
     ++Violations;
   };
-  for (const auto &R : Results)
-    Violations += R.Violations;
-  std::vector<uint64_t> Bumps(ShardCount, 0);
-  for (const auto &R : Results)
+  ChaosWorker Sum(CS, 0, ShardCount); // totals over the workers
+  for (const ChaosWorker &W : Workers) {
+    Violations += W.Violations;
+    Sum.ShedCount += W.ShedCount;
+    Sum.Timeouts += W.Timeouts;
+    Sum.Retries += W.Retries;
+    Sum.RetryDenied += W.RetryDenied;
+    Sum.RetryDropped += W.RetryDropped + W.RetryQ.size(); // + abandoned
     for (unsigned S = 0; S < ShardCount; ++S)
-      Bumps[S] += R.PairBumps[S];
+      Sum.PairBumps[S] += W.PairBumps[S];
+  }
   for (unsigned S = 0; S < ShardCount; ++S) {
     if (PairToken[S].load(std::memory_order_relaxed) != 0)
       Violation("shard %llu exclusion token still held (%llu)", S,
                 PairToken[S].load(std::memory_order_relaxed));
-    uint64_t BadPair = Store.readShard(
-        S, [&](const auto &Tab, auto &G) -> uint64_t {
-          (void)G;
-          auto A = Tab.get(chaosPairKeyA(S));
-          auto B = Tab.get(chaosPairKeyB(S));
-          if (!A.Found || !B.Found || A.Value != B.Value)
-            return 1;
-          return A.Value == Bumps[S] ? 0 : 2;
-        });
-    if (BadPair == 1)
-      Violation("shard %llu pair keys torn or missing (code %llu)", S,
-                BadPair);
-    else if (BadPair == 2)
+    auto [A, B] = Store.readShard(S, [&](const auto &Tab, auto &) {
+      return std::pair(Tab.get(chaosPairKeyA(S)), Tab.get(chaosPairKeyB(S)));
+    });
+    if (!A.Found || !B.Found || A.Value != B.Value)
+      Violation("shard %llu pair keys torn or missing (A=%llu)", S, A.Value);
+    else if (A.Value != Sum.PairBumps[S])
       Violation("shard %llu pair count != %llu writes (lost update)", S,
-                Bumps[S]);
+                Sum.PairBumps[S]);
   }
   uint64_t ChurnLive = 0;
-  for (int T = 0; T < Threads; ++T) {
-    const auto &R = Results[static_cast<std::size_t>(T)];
+  for (unsigned T = 0; T < Threads; ++T) {
+    const ChaosWorker &W = Workers[T];
     for (unsigned I = 0; I < ChaosChurnPerThread; ++I) {
-      bool Bit = (R.ChurnBits[I / 64] >> (I % 64)) & 1;
+      bool Bit = (W.ChurnBits[I / 64] >> (I % 64)) & 1;
       ChurnLive += Bit ? 1 : 0;
       bool Present = Store.get(chaosChurnKey(T, I)).has_value();
       if (Bit != Present)
         Violation("churn key (worker %llu, idx %llu) bitmap mismatch",
-                  static_cast<unsigned long long>(T), I);
+                  T, I);
     }
   }
   uint64_t Expected = P.Keys + 2ull * ShardCount + ChurnLive;
   if (Store.size() != Expected)
     Violation("size conservation: store has %llu entries, expected %llu",
               Store.size(), Expected);
-  if (!Store.quiesce())
-    Violation("leak oracle: pool live cells != live entries (%llu/%llu)", 0,
-              0);
-
-  // --- Report ------------------------------------------------------------
-  ChaosWorkerResult Sum;
-  LatencyHistogram All;
-  for (int T = 0; T < Threads; ++T) {
-    const auto &R = Results[static_cast<std::size_t>(T)];
-    Sum.Done += R.Done;
-    Sum.ShedCount += R.ShedCount;
-    Sum.Timeouts += R.Timeouts;
-    Sum.Retries += R.Retries;
-    Sum.RetryDenied += R.RetryDenied;
-    Sum.RetryDropped += R.RetryDropped;
-    Sum.Skipped += R.Skipped;
-    All.mergeFrom(Admitted[static_cast<std::size_t>(T)]);
+  if (!Store.quiesce()) {
+    uint64_t Cells = 0, Live = 0;
+    for (unsigned S = 0; S < ShardCount; ++S) {
+      Cells += Store.shardTable(S).poolLiveCells();
+      Live += Store.shardTable(S).liveCount();
+    }
+    Violation("leak oracle: pool live cells != live entries (%llu/%llu)",
+              Cells, Live);
   }
-  resilience::SpeculationWatchdog::Stats WS = Wd.stats();
-  uint64_t P99 = All.quantile(0.99);
-  bool SloMet = P99 <= CS.DegradedSloNs;
+  uint64_t Attempts = CorruptAttempts.load(std::memory_order_relaxed);
+  uint64_t Rejected = CorruptRejected.load(std::memory_order_relaxed);
+  if (Rejected != Attempts)
+    Violation("corrupt warm-image restore was accepted (%llu of %llu)",
+              Attempts - Rejected, Attempts);
+
+  // --- Report: one name/value list feeds stdout and the JSON row --------
   for (const auto &Diag : Wd.diagnostics())
     std::printf("%s\n", Diag.render().c_str());
-  std::printf(
-      "admitted %llu (p50 %.1f us, p99 %.1f us, max %.1f us) | shed %llu "
-      "timeout %llu retry %llu (denied %llu dropped %llu) skipped %llu\n"
-      "faults applied %llu | corrupt restores rejected %llu/%llu | shed "
-      "level %u (ups %llu downs %llu, %llu/%llu degraded windows)\n"
-      "watchdog: polls %llu stalls %llu storms %llu rev-storms %llu -> "
-      "forced disables %llu, forced revocations %llu\n"
-      "degraded-mode SLO %.0f us: %s | oracle violations: %llu\n",
-      static_cast<unsigned long long>(Sum.Done), usOf(All.quantile(0.50)),
-      usOf(P99), usOf(All.max()),
-      static_cast<unsigned long long>(Sum.ShedCount),
-      static_cast<unsigned long long>(Sum.Timeouts),
-      static_cast<unsigned long long>(Sum.Retries),
-      static_cast<unsigned long long>(Sum.RetryDenied),
-      static_cast<unsigned long long>(Sum.RetryDropped),
-      static_cast<unsigned long long>(Sum.Skipped),
-      static_cast<unsigned long long>(Director.faultsApplied()),
-      static_cast<unsigned long long>(
-          CorruptRejected.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          CorruptAttempts.load(std::memory_order_relaxed)),
-      Shed.level(), static_cast<unsigned long long>(Shed.levelUps()),
-      static_cast<unsigned long long>(Shed.levelDowns()),
-      static_cast<unsigned long long>(Shed.degradedWindows()),
-      static_cast<unsigned long long>(Shed.windows()),
-      static_cast<unsigned long long>(WS.Polls),
-      static_cast<unsigned long long>(WS.StallsDetected),
-      static_cast<unsigned long long>(WS.FailureStorms),
-      static_cast<unsigned long long>(WS.RevocationStorms),
-      static_cast<unsigned long long>(WS.ForcedDisables),
-      static_cast<unsigned long long>(WS.ForcedRevocations),
-      usOf(CS.DegradedSloNs), SloMet ? "met" : "MISSED",
-      static_cast<unsigned long long>(Violations));
-  if (CorruptRejected.load(std::memory_order_relaxed) !=
-      CorruptAttempts.load(std::memory_order_relaxed))
-    Violation("corrupt warm-image restore was accepted (%llu of %llu)",
-              CorruptAttempts.load(std::memory_order_relaxed) -
-                  CorruptRejected.load(std::memory_order_relaxed),
-              CorruptAttempts.load(std::memory_order_relaxed));
-
-  BenchResult BR;
-  BR.Ops = Sum.Done;
-  BR.Seconds = static_cast<double>(P.DurationNs) * 1e-9;
-  BR.OpsPerSec =
-      BR.Seconds > 0 ? static_cast<double>(BR.Ops) / BR.Seconds : 0.0;
-  BR.Delta = countersDelta(Before, After);
-  Json.add("chaos", Policy::name(), P.Threads, BR,
-           {{"offered_per_sec", CS.RatePerSec},
-            {"admitted_p50_us", usOf(All.quantile(0.50))},
-            {"admitted_p99_us", usOf(P99)},
-            {"admitted_max_us", usOf(All.max())},
-            {"deadline_us", usOf(CS.DeadlineNs)},
-            {"degraded_slo_us", usOf(CS.DegradedSloNs)},
-            {"degraded_slo_met", SloMet ? 1.0 : 0.0},
-            {"shed", static_cast<double>(Sum.ShedCount)},
-            {"timeouts", static_cast<double>(Sum.Timeouts)},
-            {"retries", static_cast<double>(Sum.Retries)},
-            {"retry_denied", static_cast<double>(Sum.RetryDenied)},
-            {"retry_dropped", static_cast<double>(Sum.RetryDropped)},
-            {"skipped_arrivals", static_cast<double>(Sum.Skipped)},
-            {"shed_level_ups", static_cast<double>(Shed.levelUps())},
-            {"shed_level_downs", static_cast<double>(Shed.levelDowns())},
-            {"degraded_windows", static_cast<double>(Shed.degradedWindows())},
-            {"faults_applied", static_cast<double>(Director.faultsApplied())},
-            {"corrupt_restores_rejected",
-             static_cast<double>(
-                 CorruptRejected.load(std::memory_order_relaxed))},
-            {"wd_stalls", static_cast<double>(WS.StallsDetected)},
-            {"wd_failure_storms", static_cast<double>(WS.FailureStorms)},
-            {"wd_revocation_storms",
-             static_cast<double>(WS.RevocationStorms)},
-            {"wd_forced_disables", static_cast<double>(WS.ForcedDisables)},
-            {"wd_forced_revocations",
-             static_cast<double>(WS.ForcedRevocations)},
-            {"oracle_violations", static_cast<double>(Violations)}});
+  resilience::SpeculationWatchdog::Stats WS = Wd.stats();
+  std::vector<JsonReport::Extra> Report = {
+      {"offered_per_sec", CS.RatePerSec},
+      {"admitted_p50_us", usOf(Run.P50Ns)},
+      {"admitted_p99_us", usOf(Run.P99Ns)},
+      {"admitted_max_us", usOf(Run.MaxNs)},
+      {"deadline_us", usOf(CS.DeadlineNs)},
+      {"degraded_slo_us", usOf(CS.DegradedSloNs)},
+      {"degraded_slo_met", Run.P99Ns <= CS.DegradedSloNs ? 1.0 : 0.0},
+      {"shed", static_cast<double>(Sum.ShedCount)},
+      {"timeouts", static_cast<double>(Sum.Timeouts)},
+      {"retries", static_cast<double>(Sum.Retries)},
+      {"retry_denied", static_cast<double>(Sum.RetryDenied)},
+      {"retry_dropped", static_cast<double>(Sum.RetryDropped)},
+      {"skipped_arrivals", static_cast<double>(Run.SkippedArrivals)},
+      {"shed_level_ups", static_cast<double>(Shed.levelUps())},
+      {"shed_level_downs", static_cast<double>(Shed.levelDowns())},
+      {"degraded_windows", static_cast<double>(Shed.degradedWindows())},
+      {"faults_applied", static_cast<double>(Director.faultsApplied())},
+      {"corrupt_restores_rejected", static_cast<double>(Rejected)},
+      {"wd_stalls", static_cast<double>(WS.StallsDetected)},
+      {"wd_failure_storms", static_cast<double>(WS.FailureStorms)},
+      {"wd_revocation_storms", static_cast<double>(WS.RevocationStorms)},
+      {"wd_forced_disables", static_cast<double>(WS.ForcedDisables)},
+      {"wd_forced_revocations", static_cast<double>(WS.ForcedRevocations)},
+      {"oracle_violations", static_cast<double>(Violations)}};
+  std::printf("admitted %llu:", static_cast<unsigned long long>(Run.Bench.Ops));
+  for (std::size_t I = 0; I < Report.size(); ++I)
+    std::printf("%s%s=%.6g", I % 3 ? "  " : "\n  ", Report[I].first.c_str(),
+                Report[I].second);
+  std::printf("\n");
+  Json.add("chaos", Policy::name(), P.Threads, Run.Bench, std::move(Report));
   return Violations;
+}
+
+/// Calls \p F.operator()<Policy>() for each policy of the list, in order.
+template <typename... Policies, typename Fn> void forEachPolicy(Fn &&F) {
+  (F.template operator()<Policies>(), ...);
 }
 
 } // namespace
@@ -838,6 +751,12 @@ int main(int Argc, char **Argv) {
       "item 1);\nread-side elision/bias should hold p99 and saturation "
       "above the plain Lock.");
 
+  // A duration flag given in \p UnitNs units, returned in ns.
+  auto NsFlag = [&](const char *Flag, int64_t Default, uint64_t UnitNs) {
+    return static_cast<uint64_t>(Env.Args.getInt(Flag, Default)) * UnitNs;
+  };
+  constexpr uint64_t Us = 1000, Ms = 1000000;
+
   KvBenchParams P;
   P.Shards = static_cast<unsigned>(Env.Args.getInt("shards", 16));
   P.Keys = static_cast<uint64_t>(
@@ -847,17 +766,12 @@ int main(int Argc, char **Argv) {
   P.DelPct = static_cast<unsigned>(Env.Args.getInt("del", 1));
   P.ScanPct = static_cast<unsigned>(Env.Args.getInt("scan", 1));
   P.Threads = static_cast<int>(Env.Args.getInt("threads", Env.Quick ? 2 : 4));
-  P.DurationNs = static_cast<uint64_t>(Env.Args.getInt(
-                     "duration-ms", Env.Quick ? 60 : 400)) *
-                 1000000ull;
+  P.DurationNs = NsFlag("duration-ms", Env.Quick ? 60 : 400, Ms);
   P.Pin = Env.Args.getBool("pin", true);
   P.Seed = Env.Seed;
   P.BurstFactor = Env.Args.getDouble("burst-factor", 1.0);
-  P.BurstPeriodNs = static_cast<uint64_t>(
-                        Env.Args.getInt("burst-period-ms", 200)) *
-                    1000000ull;
-  P.BurstLenNs =
-      static_cast<uint64_t>(Env.Args.getInt("burst-len-ms", 50)) * 1000000ull;
+  P.BurstPeriodNs = NsFlag("burst-period-ms", 200, Ms);
+  P.BurstLenNs = NsFlag("burst-len-ms", 50, Ms);
   SOLERO_CHECK(P.PutPct + P.DelPct + P.ScanPct <= 100,
                "op mix exceeds 100 percent");
 
@@ -866,9 +780,7 @@ int main(int Argc, char **Argv) {
   Sweep.Factor = Env.Args.getDouble("sweep-factor", 1.6);
   Sweep.Steps = static_cast<int>(
       Env.Args.getInt("sweep-steps", Env.Quick ? 2 : 7));
-  Sweep.SloNs = static_cast<uint64_t>(Env.Args.getInt(
-                    "slo-us", Env.Quick ? 50000 : 2000)) *
-                1000ull;
+  Sweep.SloNs = NsFlag("slo-us", Env.Quick ? 50000 : 2000, Us);
 
   std::printf("shards=%u keys=%llu zipf=%.2f mix=GET %u%% / PUT %u%% / "
               "DEL %u%% / SCAN %u%% threads=%d\nwindow=%llums "
@@ -888,63 +800,44 @@ int main(int Argc, char **Argv) {
   // The chaos soak defaults to the two adaptive-speculation stacks (the
   // states the watchdog guards); the sweep keeps its portfolio default.
   std::string Policies = Env.Args.getString(
-      "policies",
-      ChaosMode ? "Adaptive-SOLERO,BravoRW" : "Lock,RWLock,BravoRW,SOLERO,SeqLock");
+      "policies", ChaosMode ? "Adaptive-SOLERO,BravoRW"
+                            : "Lock,RWLock,BravoRW,SOLERO,SeqLock");
   JsonReport Json("kv_service");
   // Exact comma-token match ("Lock" must not select RWLock or SeqLock).
-  auto Wants = [&](const char *Name) {
-    std::size_t Pos = 0;
-    while (Pos <= Policies.size()) {
-      std::size_t Comma = Policies.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Policies.size();
-      if (Policies.compare(Pos, Comma - Pos, Name) == 0 ||
-          Policies.compare(Pos, Comma - Pos, "all") == 0)
-        return true;
-      Pos = Comma + 1;
-    }
-    return false;
+  const std::string Tokens = "," + Policies + ",";
+  auto Wants = [&](const std::string &Name) {
+    return Tokens.find("," + Name + ",") != std::string::npos ||
+           Tokens.find(",all,") != std::string::npos;
   };
+
+  ChaosSoakParams CS;
+  const std::string CkptPath = Env.Args.getString("checkpoint", "");
+  const std::string RestPath = Env.Args.getString("restore", "");
+  image::ImageBuilder Builder;
+  image::ImageBuilder *Ckpt = CkptPath.empty() ? nullptr : &Builder;
+  image::LoadedImage Warm;
   if (ChaosMode) {
-    KvBenchParams CP = P;
     if (!Env.Args.has("duration-ms")) // a fault campaign needs room
-      CP.DurationNs = (Env.Quick ? 1500ull : 5000ull) * 1000000ull;
-    ChaosSoakParams CS;
+      P.DurationNs = (Env.Quick ? 1500 : 5000) * Ms;
+    P.BurstFactor = 1.0; // the soak offers a fixed rate
     CS.RatePerSec = Env.Args.getDouble("rate", Env.Quick ? 3000 : 15000);
-    CS.DeadlineNs = static_cast<uint64_t>(Env.Args.getInt(
-                        "deadline-us", Env.Quick ? 50000 : 20000)) *
-                    1000ull;
-    CS.DegradedSloNs =
-        static_cast<uint64_t>(Env.Args.getInt(
-            "degraded-slo-us",
-            static_cast<int64_t>(3 * CS.DeadlineNs / 1000))) *
-        1000ull;
-    CS.WindowNs = static_cast<uint64_t>(
-                      Env.Args.getInt("shed-window-ms", 50)) *
-                  1000000ull;
+    CS.DeadlineNs = NsFlag("deadline-us", Env.Quick ? 50000 : 20000, Us);
+    CS.DegradedSloNs = NsFlag(
+        "degraded-slo-us", static_cast<int64_t>(3 * CS.DeadlineNs / Us), Us);
+    CS.WindowNs = NsFlag("shed-window-ms", 50, Ms);
     CS.RetryPerSec = Env.Args.getDouble("retry-rate", 200);
     CS.RetryBurst = Env.Args.getDouble("retry-burst", 20);
     CS.Chaos.Seed = Env.Seed;
-    CS.Chaos.MeanGapNs = static_cast<uint64_t>(
-                             Env.Args.getInt("chaos-gap-ms", 150)) *
-                         1000000ull;
-    CS.Chaos.MinEventNs = static_cast<uint64_t>(
-                              Env.Args.getInt("chaos-min-ms", 30)) *
-                          1000000ull;
-    CS.Chaos.MaxEventNs = static_cast<uint64_t>(
-                              Env.Args.getInt("chaos-max-ms", 100)) *
-                          1000000ull;
-    CS.Chaos.SlowShardDelayNs = static_cast<uint64_t>(Env.Args.getInt(
-                                    "slow-shard-us", 200)) *
-                                1000ull;
+    CS.Chaos.MeanGapNs = NsFlag("chaos-gap-ms", 150, Ms);
+    CS.Chaos.MinEventNs = NsFlag("chaos-min-ms", 30, Ms);
+    CS.Chaos.MaxEventNs = NsFlag("chaos-max-ms", 100, Ms);
+    CS.Chaos.SlowShardDelayNs = NsFlag("slow-shard-us", 200, Us);
     CS.Chaos.KindMask = static_cast<uint32_t>(
         Env.Args.getInt("chaos-kinds", 0xffffffff));
     // Shed before deadlines blow: breach at half the request budget.
     CS.Shed.SloP99Ns = CS.DeadlineNs / 2;
     CS.Shed.BacklogBreachNs = CS.DeadlineNs;
-    CS.Wd.StallBoundNs = static_cast<uint64_t>(Env.Args.getInt(
-                             "stall-bound-ms", 100)) *
-                         1000000ull;
+    CS.Wd.StallBoundNs = NsFlag("stall-bound-ms", 100, Ms);
     std::printf("chaos: deadline %llu us, degraded SLO %llu us, rate %g/s, "
                 "shed window %llu ms, retry %.0f/s burst %.0f\n",
                 static_cast<unsigned long long>(CS.DeadlineNs / 1000),
@@ -952,55 +845,34 @@ int main(int Argc, char **Argv) {
                 CS.RatePerSec,
                 static_cast<unsigned long long>(CS.WindowNs / 1000000),
                 CS.RetryPerSec, CS.RetryBurst);
-
-    uint64_t Violations = 0;
-    if (Wants("Lock"))
-      Violations += runChaosSoak<TasukiPolicy>(Env, Json, CP, Zipf, CS);
-    if (Wants("RWLock"))
-      Violations += runChaosSoak<RwPolicy>(Env, Json, CP, Zipf, CS);
-    if (Wants("BravoRW"))
-      Violations += runChaosSoak<BravoRwPolicy>(Env, Json, CP, Zipf, CS);
-    if (Wants("SOLERO"))
-      Violations += runChaosSoak<SoleroPolicy>(Env, Json, CP, Zipf, CS);
-    if (Wants("Adaptive-SOLERO"))
-      Violations +=
-          runChaosSoak<AdaptiveSoleroPolicy>(Env, Json, CP, Zipf, CS);
-    if (Wants("SeqLock"))
-      Violations += runChaosSoak<SeqLockPolicy>(Env, Json, CP, Zipf, CS);
-    bool JsonOk = Json.write(Env.JsonPath);
-    std::printf("\nchaos verdict: %llu oracle violation(s)%s\n",
-                static_cast<unsigned long long>(Violations),
-                Violations ? " [FAIL]" : " [ok]");
-    return (Violations == 0 && JsonOk) ? 0 : 1;
-  }
-
-  const std::string CkptPath = Env.Args.getString("checkpoint", "");
-  const std::string RestPath = Env.Args.getString("restore", "");
-  image::ImageBuilder Builder;
-  image::ImageBuilder *Ckpt = CkptPath.empty() ? nullptr : &Builder;
-  image::LoadedImage Warm;
-  image::Diagnostic LoadDiag;
-  if (!RestPath.empty()) {
+  } else if (!RestPath.empty()) {
+    image::Diagnostic LoadDiag;
     Warm = image::LoadedImage::fromFile(RestPath, LoadDiag);
     if (!LoadDiag.ok()) // degrade to a cold run, never crash
       std::printf("warm image: %s\n", LoadDiag.render().c_str());
   }
   const image::LoadedImage *WarmP = Warm.loaded() ? &Warm : nullptr;
 
-  if (Wants("Lock"))
-    runPolicy<TasukiPolicy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
-  if (Wants("RWLock"))
-    runPolicy<RwPolicy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
-  if (Wants("BravoRW"))
-    runPolicy<BravoRwPolicy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
-  if (Wants("SOLERO"))
-    runPolicy<SoleroPolicy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
-  if (Wants("Adaptive-SOLERO")) // off the default list; carries the
-    runPolicy<AdaptiveSoleroPolicy>(Env, Json, P, Sweep, Zipf, Ckpt,
-                                    WarmP); // richest controller state
-  if (Wants("SeqLock"))
-    runPolicy<SeqLockPolicy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
+  // The one policy list both modes select from. Adaptive-SOLERO is off
+  // the sweep's default list; it carries the richest controller state.
+  uint64_t Violations = 0;
+  forEachPolicy<TasukiPolicy, RwPolicy, BravoRwPolicy, SoleroPolicy,
+                AdaptiveSoleroPolicy, SeqLockPolicy>([&]<typename Policy>() {
+    if (!Wants(Policy::name()))
+      return;
+    if (ChaosMode)
+      Violations += runChaosSoak<Policy>(Env, Json, P, Zipf, CS);
+    else
+      runSweep<Policy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
+  });
 
+  const bool JsonOk = Json.write(Env.JsonPath);
+  if (ChaosMode) {
+    std::printf("\nchaos verdict: %llu oracle violation(s)%s\n",
+                static_cast<unsigned long long>(Violations),
+                Violations ? " [FAIL]" : " [ok]");
+    return (Violations == 0 && JsonOk) ? 0 : 1;
+  }
   if (Ckpt) {
     image::Diagnostic D;
     if (Builder.writeFile(CkptPath, D))
@@ -1009,6 +881,5 @@ int main(int Argc, char **Argv) {
     else
       std::fprintf(stderr, "checkpoint: %s\n", D.render().c_str());
   }
-
-  return Json.write(Env.JsonPath) ? 0 : 1;
+  return JsonOk ? 0 : 1;
 }

@@ -7,11 +7,10 @@
 // Two engines live here:
 //
 //  - execThreaded: the production engine over the pre-decoded stream.
-//    With SOLERO_THREADED_DISPATCH (default on GCC/Clang) each handler
-//    ends by jumping through a computed-goto label table indexed by the
-//    next pre-decoded opcode — no shared dispatch branch for the
-//    predictor to saturate. Without it the same handler bodies compile
-//    into a pre-decoded switch loop via the VM_CASE/VM_NEXT macros.
+//    Each handler ends by jumping through a computed-goto label table
+//    (a GNU extension, which every supported compiler accepts) indexed by
+//    the next pre-decoded opcode — no shared dispatch branch for the
+//    predictor to saturate.
 //
 //  - execRange: the reference switch interpreter over the original
 //    Method::Code, kept as the differential-test oracle. It shares the
@@ -34,14 +33,6 @@
 
 #include "runtime/ReadGuard.h"
 #include "support/ScopeExit.h"
-
-#ifndef SOLERO_THREADED_DISPATCH
-#if defined(__GNUC__) || defined(__clang__)
-#define SOLERO_THREADED_DISPATCH 1
-#else
-#define SOLERO_THREADED_DISPATCH 0
-#endif
-#endif
 
 using namespace solero;
 using namespace solero::jit;
@@ -157,10 +148,6 @@ Interpreter::Interpreter(RuntimeContext &Ctx, Module Mod_, Options Opts)
   Statics.reset(new SharedField<int64_t>[Mod.NumStatics]());
   rebuildRegionTables();
   retranslate();
-}
-
-bool Interpreter::threadedDispatchAvailable() {
-  return SOLERO_THREADED_DISPATCH != 0;
 }
 
 void Interpreter::rebuildRegionTables() {
@@ -763,7 +750,6 @@ std::optional<Value> Interpreter::execThreaded(ExecCtx &EC, Frame &F,
     }                                                                          \
   } while (0)
 
-#if SOLERO_THREADED_DISPATCH
   // Token-threaded dispatch: the label table is indexed by the pre-decoded
   // opcode, so its order is the TOp enum order — keep the two in sync.
   static const void *const Labels[NumTOps] = {&&L_Const,
@@ -818,19 +804,6 @@ std::optional<Value> Interpreter::execThreaded(ExecCtx &EC, Frame &F,
     goto *Labels[I->Op];                                                       \
   } while (0)
   VM_NEXT();
-#else
-// Portable fallback: same pre-decoded stream and handler bodies, dispatched
-// through one switch.
-#define VM_CASE(Name) case TOp::Name:
-#define VM_NEXT()                                                              \
-  do {                                                                         \
-    I = Code + Pc++;                                                           \
-    goto VmDispatch;                                                           \
-  } while (0)
-  I = Code + Pc++;
-VmDispatch:
-  switch (I->op()) {
-#endif
 
   VM_CASE(Const) {
     *Sp++ = Value::ofInt(I->A);
@@ -1099,10 +1072,6 @@ VmDispatch:
     ++Prof.Counts[F.MethodId][static_cast<std::size_t>(I->A)];
     VM_NEXT();
   }
-
-#if !SOLERO_THREADED_DISPATCH
-  }
-#endif
   SOLERO_UNREACHABLE("fell out of dispatch (translator bug)");
 
 #undef VM_CASE

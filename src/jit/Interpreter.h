@@ -16,8 +16,7 @@
 /// Two dispatch engines share the lock protocol and the guest heap:
 ///
 ///  - DispatchMode::Threaded (default): executes the translated stream
-///    with computed-goto threaded dispatch (a pre-decoded switch loop on
-///    toolchains without the extension), superinstructions fused, call
+///    with computed-goto threaded dispatch, superinstructions fused, call
 ///    frames carved from a pre-sized per-invoke arena (no allocation on
 ///    the call path), and the runaway-step budget polled only at loop
 ///    back edges and invokes;
@@ -199,11 +198,6 @@ public:
   const Profile &profile() const { return Prof; }
   /// The pre-decoded program (empty in Reference mode).
   const TranslatedModule &translated() const { return Trans; }
-
-  /// True when the build dispatches the translated stream with computed
-  /// goto; false when DispatchMode::Threaded falls back to a pre-decoded
-  /// switch loop.
-  static bool threadedDispatchAvailable();
 
   int64_t staticCell(uint32_t Idx) const { return Statics[Idx].read(); }
   void setStaticCell(uint32_t Idx, int64_t V) { Statics[Idx].write(V); }

@@ -6,10 +6,9 @@
 
 #include "locks/BravoRwLock.h"
 
-#include <chrono>
-
 #include "support/Assert.h"
 #include "support/Backoff.h"
+#include "support/Clock.h"
 #include "support/NumaTopology.h"
 
 using namespace solero;
@@ -105,12 +104,6 @@ BravoRwLock::BravoRwLock(RuntimeContext &Ctx, BravoConfig Config)
     : Config(Config), Underlying(Ctx),
       FastHolds(new uint32_t[ThreadRegistry::MaxThreads]()) {}
 
-int64_t BravoRwLock::nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void BravoRwLock::readLock() {
   ThreadState &TS = ThreadRegistry::current();
   uint32_t &Fast = FastHolds[TS.slot()];
@@ -180,11 +173,11 @@ void BravoRwLock::writeLock() {
 void BravoRwLock::writeUnlock() { Underlying.writeUnlock(); }
 
 void BravoRwLock::revokeBias() {
-  int64_t Start = nowNs();
+  uint64_t Start = nowNs();
   RBias.store(false, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   BravoReaderTable::instance().waitForReadersOf(this);
-  int64_t Cost = nowNs() - Start;
+  int64_t Cost = static_cast<int64_t>(nowNs() - Start);
   // Adaptive self-disabling (the Fissile-style degradation bound): bias
   // stays off for InhibitMultiplier x the measured revocation cost, so a
   // write-heavy lock pays at most ~1/InhibitMultiplier extra and converges
@@ -193,7 +186,8 @@ void BravoRwLock::revokeBias() {
   int64_t Inhibit = Cost * static_cast<int64_t>(Config.InhibitMultiplier);
   if (Inhibit < 1000)
     Inhibit = 1000;
-  InhibitUntil.store(nowNs() + Inhibit, std::memory_order_relaxed);
+  InhibitUntil.store(static_cast<int64_t>(nowNs()) + Inhibit,
+                     std::memory_order_relaxed);
   Revocations.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -203,7 +197,8 @@ void BravoRwLock::forceRevokeBias(int64_t InhibitNs) {
   // forced revocation would bounce straight back.
   if (InhibitNs < 1000)
     InhibitNs = 1000;
-  InhibitUntil.store(nowNs() + InhibitNs, std::memory_order_relaxed);
+  InhibitUntil.store(static_cast<int64_t>(nowNs()) + InhibitNs,
+                     std::memory_order_relaxed);
   // Drain flag before the clear: a writer that observes RBias == false
   // must also observe the pending drain (release/acquire pairing on the
   // two flags via the seq_cst exchange below).
@@ -234,7 +229,7 @@ void BravoRwLock::maybeReenableBias() {
     static thread_local uint32_t Probe = 0;
     if ((++Probe & 63) != 0)
       return;
-    if (nowNs() < Until)
+    if (static_cast<int64_t>(nowNs()) < Until)
       return;
   }
   RBias.store(true, std::memory_order_release);
@@ -245,7 +240,7 @@ BravoSnapshot BravoRwLock::snapshot() const {
   S.RBias = RBias.load(std::memory_order_relaxed);
   int64_t Until = InhibitUntil.load(std::memory_order_relaxed);
   if (Until != 0) {
-    int64_t Remaining = Until - nowNs();
+    int64_t Remaining = Until - static_cast<int64_t>(nowNs());
     S.InhibitRemainingNs = Remaining > 0 ? Remaining : 0;
   }
   S.Revocations = Revocations.load(std::memory_order_relaxed);
@@ -259,7 +254,9 @@ bool BravoRwLock::restore(const BravoSnapshot &S) {
     return false; // no transition produces a negative remainder
   Revocations.store(S.Revocations, std::memory_order_relaxed);
   InhibitUntil.store(
-      S.InhibitRemainingNs > 0 ? nowNs() + S.InhibitRemainingNs : 0,
+      S.InhibitRemainingNs > 0
+          ? static_cast<int64_t>(nowNs()) + S.InhibitRemainingNs
+          : 0,
       std::memory_order_relaxed);
   // An image captured with bias on restores warm only if this process's
   // config still allows bias; release-ordered like maybeReenableBias so

@@ -191,7 +191,6 @@ public:
 private:
   void revokeBias();
   void maybeReenableBias();
-  static int64_t nowNs();
 
   BravoConfig Config;
   ReadWriteLock Underlying;

@@ -11,6 +11,7 @@
 
 #include "core/ElisionController.h"
 #include "locks/BravoRwLock.h"
+#include "support/Clock.h"
 
 using namespace solero;
 using namespace solero::resilience;
@@ -67,13 +68,6 @@ void SpeculationWatchdog::watchController(ElisionController *C) {
 
 void SpeculationWatchdog::watchBravo(BravoRwLock *L) {
   Bravos.push_back({L, L->revocations()});
-}
-
-uint64_t SpeculationWatchdog::nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 void SpeculationWatchdog::start() {

@@ -158,7 +158,6 @@ private:
 
   /// Forces degradation everywhere and records one diagnostic.
   void forceRecovery(ResilienceDiagnostic D);
-  static uint64_t nowNs();
 
   WatchdogConfig Cfg;
   std::vector<ElisionController *> Controllers;

@@ -68,6 +68,34 @@ private:
   std::atomic<uint64_t> Cell{0};
 };
 
+/// The ProtocolCounters fields, declared once: X(Name) per counter, in
+/// layout order. The struct, operator+= and operator-= expand from it.
+#define SOLERO_PROTOCOL_COUNTERS(X)                                            \
+  X(WriteEntries)     /* mutual-exclusion / writing CS entries */              \
+  X(ReadOnlyEntries)  /* read-only CS entries */                               \
+  X(AtomicRmws)       /* CAS / fetch_add on lock state */                      \
+  X(LockWordStores)   /* plain stores to lock state */                         \
+  X(ElisionAttempts)  /* speculative executions started */                     \
+  X(ElisionSuccesses) /* validated speculative executions */                   \
+  X(ElisionFailures)  /* failed validations (Fig. 15 numerator) */             \
+  X(Fallbacks)        /* retries that acquired the lock for real */            \
+  X(FaultRetries)     /* guest exceptions absorbed as failures */              \
+  X(AsyncAborts)      /* aborts raised at async check points */                \
+  X(Inflations)                                                                \
+  X(Deflations)                                                                \
+  X(FlcWaits) /* parks on the flat-lock-contention path */                     \
+  /* Adaptive elision controller (DESIGN.md "Adaptive elision"). The       */  \
+  /* per-state attempt counters partition ElisionAttempts when the         */  \
+  /* controller is on: Elide-state attempts are the remainder.             */  \
+  X(ElisionSkips)      /* read sections bypassing speculation */               \
+  X(SpecRetries)       /* re-attempts after failed speculation */              \
+  X(ThrottledAttempts) /* attempts issued in Throttled state */                \
+  X(ReprobeAttempts)   /* attempts issued in Reprobe state */                  \
+  X(CtrlThrottles)     /* Elide -> Throttled transitions */                    \
+  X(CtrlDisables)      /* -> Disabled transitions */                           \
+  X(CtrlReprobes)      /* Disabled -> Reprobe transitions */                   \
+  X(CtrlReenables)     /* -> Elide re-enables */
+
 /// Counters maintained per thread with owner-only increments and
 /// aggregated on demand (RelaxedCounter makes the racy aggregation reads
 /// well-defined). AtomicRmws and LockWordStores are the coherence-traffic
@@ -75,54 +103,21 @@ private:
 /// gap to atomic updates of lock variables, so counting them reproduces
 /// the scalability *shape* independent of core count.
 struct ProtocolCounters {
-  RelaxedCounter WriteEntries;     ///< mutual-exclusion / writing CS entries
-  RelaxedCounter ReadOnlyEntries;  ///< read-only CS entries
-  RelaxedCounter AtomicRmws;       ///< CAS / fetch_add on lock state
-  RelaxedCounter LockWordStores;   ///< plain stores to lock state
-  RelaxedCounter ElisionAttempts;  ///< speculative executions started
-  RelaxedCounter ElisionSuccesses; ///< validated speculative executions
-  RelaxedCounter ElisionFailures;  ///< failed validations (Fig. 15 numerator)
-  RelaxedCounter Fallbacks;        ///< retries that acquired the lock for real
-  RelaxedCounter FaultRetries;     ///< guest exceptions absorbed as failures
-  RelaxedCounter AsyncAborts;      ///< aborts raised at async check points
-  RelaxedCounter Inflations;
-  RelaxedCounter Deflations;
-  RelaxedCounter FlcWaits;         ///< parks on the flat-lock-contention path
-
-  // Adaptive elision controller (DESIGN.md "Adaptive elision"). The
-  // per-state attempt counters partition ElisionAttempts when the
-  // controller is on: Elide-state attempts are the remainder.
-  RelaxedCounter ElisionSkips;      ///< read sections bypassing speculation
-  RelaxedCounter SpecRetries;       ///< re-attempts after failed speculation
-  RelaxedCounter ThrottledAttempts; ///< attempts issued in Throttled state
-  RelaxedCounter ReprobeAttempts;   ///< attempts issued in Reprobe state
-  RelaxedCounter CtrlThrottles;     ///< Elide -> Throttled transitions
-  RelaxedCounter CtrlDisables;      ///< -> Disabled transitions
-  RelaxedCounter CtrlReprobes;      ///< Disabled -> Reprobe transitions
-  RelaxedCounter CtrlReenables;     ///< -> Elide re-enables
+#define SOLERO_COUNTER_FIELD(Name) RelaxedCounter Name;
+  SOLERO_PROTOCOL_COUNTERS(SOLERO_COUNTER_FIELD)
+#undef SOLERO_COUNTER_FIELD
 
   ProtocolCounters &operator+=(const ProtocolCounters &O) {
-    WriteEntries += O.WriteEntries;
-    ReadOnlyEntries += O.ReadOnlyEntries;
-    AtomicRmws += O.AtomicRmws;
-    LockWordStores += O.LockWordStores;
-    ElisionAttempts += O.ElisionAttempts;
-    ElisionSuccesses += O.ElisionSuccesses;
-    ElisionFailures += O.ElisionFailures;
-    Fallbacks += O.Fallbacks;
-    FaultRetries += O.FaultRetries;
-    AsyncAborts += O.AsyncAborts;
-    Inflations += O.Inflations;
-    Deflations += O.Deflations;
-    FlcWaits += O.FlcWaits;
-    ElisionSkips += O.ElisionSkips;
-    SpecRetries += O.SpecRetries;
-    ThrottledAttempts += O.ThrottledAttempts;
-    ReprobeAttempts += O.ReprobeAttempts;
-    CtrlThrottles += O.CtrlThrottles;
-    CtrlDisables += O.CtrlDisables;
-    CtrlReprobes += O.CtrlReprobes;
-    CtrlReenables += O.CtrlReenables;
+#define SOLERO_COUNTER_ADD(Name) Name += O.Name;
+    SOLERO_PROTOCOL_COUNTERS(SOLERO_COUNTER_ADD)
+#undef SOLERO_COUNTER_ADD
+    return *this;
+  }
+  /// Field-wise difference: `After -= Before` is the delta of a window.
+  ProtocolCounters &operator-=(const ProtocolCounters &O) {
+#define SOLERO_COUNTER_SUB(Name) Name -= O.Name;
+    SOLERO_PROTOCOL_COUNTERS(SOLERO_COUNTER_SUB)
+#undef SOLERO_COUNTER_SUB
     return *this;
   }
 };

@@ -120,13 +120,6 @@ std::string ChaosDirector::scheduleString() const {
   return Out;
 }
 
-uint64_t ChaosDirector::nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void ChaosDirector::start(uint64_t BeginNs) {
   if (Running.exchange(true, std::memory_order_acq_rel))
     return;

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "stress/SchedulePerturber.h"
+#include "support/Clock.h"
 
 namespace solero {
 namespace stress {
@@ -122,9 +123,15 @@ public:
   uint64_t shardDelayNs(unsigned Shard) const {
     return ShardDelay[Shard].load(std::memory_order_relaxed);
   }
-  /// Skew the deadline clock by this much (signed; 0 when no fault).
-  int64_t clockSkewNs() const {
-    return ClockSkew.load(std::memory_order_relaxed);
+  /// The deadline clock: nowNs() shifted by the active ClockJump skew
+  /// (clamped at 0). Latency accounting stays on the real clock.
+  uint64_t deadlineNowNs() const {
+    int64_t Skew = ClockSkew.load(std::memory_order_relaxed);
+    uint64_t Now = nowNs();
+    if (Skew >= 0)
+      return Now + static_cast<uint64_t>(Skew);
+    uint64_t Back = static_cast<uint64_t>(-Skew);
+    return Now > Back ? Now - Back : 0;
   }
   /// Events whose active window has been applied so far.
   uint64_t faultsApplied() const {
@@ -139,7 +146,6 @@ private:
   void run(uint64_t BeginNs);
   void apply(const ChaosEvent &E);
   void revert(const ChaosEvent &E);
-  static uint64_t nowNs();
 
   ChaosConfig Cfg;
   std::vector<ChaosEvent> Schedule;

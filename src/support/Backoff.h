@@ -65,10 +65,7 @@ inline void spinTier1(int Iterations) {
 ///                   default, so lock-internal call sites stay untouched.
 ///   FullJitter    — sleep = uniform[1, Cur]; Cur still doubles. Best
 ///                   spread, at the cost of occasionally near-zero waits.
-///   Decorrelated  — sleep = uniform[Min, Prev*3] clamped to Max; each
-///                   wait feeds the next, so streams drift apart even when
-///                   seeded alike but consumed at different rates.
-enum class JitterMode : uint8_t { None, FullJitter, Decorrelated };
+enum class JitterMode : uint8_t { None, FullJitter };
 
 /// Bounded exponential backoff for optimistic-retry loops (the BRAVO /
 /// Fissile-lock recipe): each pause() busy-waits twice as long as the
@@ -105,17 +102,6 @@ public:
       Wait = 1 + static_cast<int>(Rng.nextBounded(static_cast<uint64_t>(Cur)));
       Cur = Cur > Max / 2 ? Max : Cur * 2;
       break;
-    case JitterMode::Decorrelated: {
-      // Uniform in [Min, min(Max, Prev*3)]; the drawn wait becomes the
-      // next round's Prev, so the walk itself is randomized.
-      int64_t Ceil = static_cast<int64_t>(Cur) * 3;
-      if (Ceil > Max)
-        Ceil = Max;
-      Wait = Min + static_cast<int>(
-                       Rng.nextBounded(static_cast<uint64_t>(Ceil - Min + 1)));
-      Cur = Wait;
-      break;
-    }
     }
     return Wait;
   }
@@ -123,9 +109,9 @@ public:
   /// Returns to the minimum interval (call after a success).
   void reset() { Cur = Min; }
 
-  /// The deterministic backoff state (the FullJitter ceiling /
-  /// Decorrelated previous draw). For JitterMode::None this is exactly
-  /// the spin count the next pause() will use.
+  /// The deterministic backoff state (the FullJitter ceiling). For
+  /// JitterMode::None this is exactly the spin count the next pause()
+  /// will use.
   int currentSpins() const { return Cur; }
 
   JitterMode jitterMode() const { return Jitter; }

@@ -87,28 +87,8 @@ struct BenchResult {
 
 inline ProtocolCounters countersDelta(const ProtocolCounters &Before,
                                       const ProtocolCounters &After) {
-  ProtocolCounters D;
-  D.WriteEntries = After.WriteEntries - Before.WriteEntries;
-  D.ReadOnlyEntries = After.ReadOnlyEntries - Before.ReadOnlyEntries;
-  D.AtomicRmws = After.AtomicRmws - Before.AtomicRmws;
-  D.LockWordStores = After.LockWordStores - Before.LockWordStores;
-  D.ElisionAttempts = After.ElisionAttempts - Before.ElisionAttempts;
-  D.ElisionSuccesses = After.ElisionSuccesses - Before.ElisionSuccesses;
-  D.ElisionFailures = After.ElisionFailures - Before.ElisionFailures;
-  D.Fallbacks = After.Fallbacks - Before.Fallbacks;
-  D.FaultRetries = After.FaultRetries - Before.FaultRetries;
-  D.AsyncAborts = After.AsyncAborts - Before.AsyncAborts;
-  D.Inflations = After.Inflations - Before.Inflations;
-  D.Deflations = After.Deflations - Before.Deflations;
-  D.FlcWaits = After.FlcWaits - Before.FlcWaits;
-  D.ElisionSkips = After.ElisionSkips - Before.ElisionSkips;
-  D.SpecRetries = After.SpecRetries - Before.SpecRetries;
-  D.ThrottledAttempts = After.ThrottledAttempts - Before.ThrottledAttempts;
-  D.ReprobeAttempts = After.ReprobeAttempts - Before.ReprobeAttempts;
-  D.CtrlThrottles = After.CtrlThrottles - Before.CtrlThrottles;
-  D.CtrlDisables = After.CtrlDisables - Before.CtrlDisables;
-  D.CtrlReprobes = After.CtrlReprobes - Before.CtrlReprobes;
-  D.CtrlReenables = After.CtrlReenables - Before.CtrlReenables;
+  ProtocolCounters D = After;
+  D -= Before;
   return D;
 }
 

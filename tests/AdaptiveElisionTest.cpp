@@ -75,20 +75,8 @@ protected:
   }
 
   ProtocolCounters delta() const {
-    ProtocolCounters Now = ThreadRegistry::instance().totalCounters();
-    ProtocolCounters D;
-    D.ElisionAttempts = Now.ElisionAttempts - Base.ElisionAttempts;
-    D.ElisionSuccesses = Now.ElisionSuccesses - Base.ElisionSuccesses;
-    D.ElisionFailures = Now.ElisionFailures - Base.ElisionFailures;
-    D.Fallbacks = Now.Fallbacks - Base.Fallbacks;
-    D.ElisionSkips = Now.ElisionSkips - Base.ElisionSkips;
-    D.SpecRetries = Now.SpecRetries - Base.SpecRetries;
-    D.ThrottledAttempts = Now.ThrottledAttempts - Base.ThrottledAttempts;
-    D.ReprobeAttempts = Now.ReprobeAttempts - Base.ReprobeAttempts;
-    D.CtrlThrottles = Now.CtrlThrottles - Base.CtrlThrottles;
-    D.CtrlDisables = Now.CtrlDisables - Base.CtrlDisables;
-    D.CtrlReprobes = Now.CtrlReprobes - Base.CtrlReprobes;
-    D.CtrlReenables = Now.CtrlReenables - Base.CtrlReenables;
+    ProtocolCounters D = ThreadRegistry::instance().totalCounters();
+    D -= Base;
     return D;
   }
   void snap() { Base = ThreadRegistry::instance().totalCounters(); }

@@ -202,19 +202,6 @@ TEST(Backoff, FullJitterStaysInsideDoublingEnvelope) {
   }
 }
 
-TEST(Backoff, DecorrelatedStaysInsideBrookerBounds) {
-  ExpBackoff B(16, 1024, JitterMode::Decorrelated, 99);
-  int Prev = 16;
-  for (int I = 0; I < 256; ++I) {
-    int W = B.nextSpins();
-    EXPECT_GE(W, 16);
-    EXPECT_LE(W, 1024);
-    int64_t Ceil = static_cast<int64_t>(Prev) * 3;
-    EXPECT_LE(W, Ceil > 1024 ? 1024 : Ceil); // uniform in [Min, 3*Prev]
-    Prev = W; // the drawn wait seeds the next round's ceiling
-  }
-}
-
 TEST(Backoff, JitterIsSeededAndResettable) {
   ExpBackoff A(16, 1024, JitterMode::FullJitter, 7);
   ExpBackoff B(16, 1024, JitterMode::FullJitter, 7);

@@ -35,15 +35,8 @@ protected:
   SoleroLockTest() : Ctx(quietConfig()), L(Ctx) {}
 
   ProtocolCounters delta() {
-    ProtocolCounters Now = ThreadRegistry::instance().totalCounters();
-    ProtocolCounters D = Now;
-    D.ElisionAttempts -= Base.ElisionAttempts;
-    D.ElisionSuccesses -= Base.ElisionSuccesses;
-    D.ElisionFailures -= Base.ElisionFailures;
-    D.Fallbacks -= Base.Fallbacks;
-    D.FaultRetries -= Base.FaultRetries;
-    D.AsyncAborts -= Base.AsyncAborts;
-    D.Inflations -= Base.Inflations;
+    ProtocolCounters D = ThreadRegistry::instance().totalCounters();
+    D -= Base;
     return D;
   }
   void snap() { Base = ThreadRegistry::instance().totalCounters(); }

@@ -105,8 +105,14 @@ TEST_F(TasukiLockTest, ContentionInflatesAndDeflates) {
   });
   while (Stage.load() != 1)
     std::this_thread::yield();
-  // Give the contender time to finish spinning and park.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Wait (bounded) until the contender has set the flat-lock-contention
+  // bit: from then on our exit must take the monitor path, so the
+  // contender acquires through the monitor however slowly it parks.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((H.word().load() & FlcBit) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  EXPECT_NE(H.word().load() & FlcBit, 0u);
   EXPECT_EQ(Stage.load(), 1); // still excluded
   L.exit(H);
   Contender.join();
