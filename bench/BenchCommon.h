@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "support/CliParser.h"
+#include "support/NumaTopology.h"
 #include "support/TablePrinter.h"
 #include "workloads/Harness.h"
 #include "workloads/LockPolicies.h"
@@ -184,10 +185,10 @@ inline void printBanner(const char *Id, const char *Title,
   std::printf("Paper: Nakaike & Michael, \"Lock Elision for Read-Only "
               "Critical Sections in Java\",\n       PLDI 2010.\n");
   std::printf("Paper result: %s\n", PaperClaim);
-  std::printf("Note: this host is a 1-vCPU container (paper used a 16-way "
-              "Power6); wall-clock\nscalability is compressed. The rmw/op and "
-              "st/op columns are the deterministic\ncoherence-traffic proxies "
-              "(see EXPERIMENTS.md).\n");
+  std::printf("Note: this host has %u CPUs (paper used a 16-way Power6). "
+              "The rmw/op and st/op\ncolumns are the deterministic "
+              "coherence-traffic proxies (see EXPERIMENTS.md).\n",
+              NumaTopology::cpuCount());
   std::printf("==============================================================="
               "=================\n");
 }

@@ -12,13 +12,13 @@
 /// runs under the conventional lock until the profile proves it ReadMostly
 /// (Section 5). A cold process therefore spends its first windows at
 /// elide/op = 0 — profiling, reclassifying, retranslating — before
-/// reaching peak. A restored process adopts the previous run's
-/// classification, translated stream, profile, and adaptive-controller
-/// state at startup and should be within 10% of steady-state elide/op in
-/// its *first* measurement window.
+/// reaching peak. A restored process adopts the previous run's profile
+/// and adaptive-controller cell at startup, re-derives the classification
+/// and translation from the profile, and should be within 10% of
+/// steady-state elide/op in its *first* measurement window.
 ///
 /// Per window the bench reports ops/sec and elide/op (elision successes
-/// per guest op — the deterministic warmth signal on a 1-vCPU host).
+/// per guest op — a deterministic warmth signal, unlike wall clock).
 ///
 ///   --checkpoint=FILE  write the warm image after the cold run
 ///   --restore=FILE     restore the warm run from FILE instead of memory
@@ -27,11 +27,13 @@
 /// checkpoint, restored run, then a corrupted- and a truncated-image
 /// restore demonstrating the cold-start fallback diagnostics.
 ///
+/// Exits 1 when the acceptance check fails (the restored run is not warm
+/// from window 0) or when a damaged image validates.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include "image/Checkpoint.h"
 #include "image/Image.h"
 #include "image/Resources.h"
 #include "jit/Interpreter.h"
@@ -45,6 +47,9 @@ using namespace solero;
 using jit::Value;
 
 namespace {
+
+/// Name of the interpreter's blob in the image.
+constexpr const char *JitBlob = "jit.warm";
 
 /// Entries between writes: below the classifier's 10% read-mostly
 /// threshold, high enough that peak elide/op is unambiguous (63/64).
@@ -118,13 +123,33 @@ void emitPhase(JsonReport &Json, TablePrinter &T, const std::string &Variant,
   }
 }
 
+/// Restores \p I from \p Img's interpreter blob, logging the outcome
+/// under \p Tag. True when the engine came back warm.
+bool restoreWarm(const char *Tag, const image::LoadedImage &Img,
+                 const image::Diagnostic &LoadDiag, jit::Interpreter &I) {
+  if (!Img.loaded()) {
+    std::printf("%s: %s\n", Tag, LoadDiag.render().c_str());
+    return false;
+  }
+  const std::vector<uint8_t> *Blob = Img.blob(JitBlob);
+  if (!Blob) {
+    std::printf("%s: no '%s' blob; cold start\n", Tag, JitBlob);
+    return false;
+  }
+  image::ImageReader R(*Blob);
+  bool Warm = image::readJitWarmState(R, I);
+  std::printf("%s: %s '%s'\n", Tag, Warm ? "restored" : "cold start; rejected",
+              JitBlob);
+  return Warm;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
   printBanner(
       "Warm restart", "Time-to-peak elision, cold vs restored warm image",
-      "No paper figure; CRaC-style expectation: the restored run is within "
+      "No paper figure; expectation: the restored run is within "
       "10% of steady-state\nelide/op in its first measurement window, where "
       "the cold run starts at zero.");
 
@@ -160,13 +185,14 @@ int main(int Argc, char **Argv) {
   emitPhase(Json, T, "cold", ColdPhase);
 
   // --- Checkpoint the warmed engine --------------------------------------
-  image::CheckpointContext Ckpt;
-  image::InterpreterWarmState ColdWarm("jit.warm", Cold);
-  Ckpt.registerResource(&ColdWarm);
-  std::vector<uint8_t> ImageBytes = Ckpt.checkpointBytes();
+  image::ImageWriter W;
+  image::writeJitWarmState(W, Cold);
+  image::ImageBuilder Builder;
+  Builder.addBlob(JitBlob, W.take());
+  std::vector<uint8_t> ImageBytes = Builder.build();
   if (!CkptPath.empty()) {
     image::Diagnostic D;
-    if (Ckpt.checkpointTo(CkptPath, D))
+    if (Builder.writeFile(CkptPath, D))
       std::printf("checkpoint: wrote %zu-byte warm image to %s\n",
                   ImageBytes.size(), CkptPath.c_str());
     else
@@ -176,15 +202,11 @@ int main(int Argc, char **Argv) {
   // --- Restored run: fresh process state, adopt the image ----------------
   jit::Interpreter Restored(*Env.Ctx, buildWarmGuest(),
                             jit::Interpreter::Options());
-  image::CheckpointContext Rest;
-  image::InterpreterWarmState RestWarm("jit.warm", Restored);
-  Rest.registerResource(&RestWarm);
-  image::RestoreReport Report = RestPath.empty()
-                                    ? Rest.restoreBytes(ImageBytes)
-                                    : Rest.restoreFromFile(RestPath);
-  std::printf("restore: %s\n", Report.summary().c_str());
-  for (const image::Diagnostic &D : Report.Diags)
-    std::printf("restore: %s\n", D.render().c_str());
+  image::Diagnostic LoadDiag;
+  image::LoadedImage Img =
+      RestPath.empty() ? image::LoadedImage::fromBytes(ImageBytes, LoadDiag)
+                       : image::LoadedImage::fromFile(RestPath, LoadDiag);
+  bool RestoredWarm = restoreWarm("restore", Img, LoadDiag, Restored);
 
   jit::GuestObject *RestObj = Restored.allocateObject();
   Phase RestPhase;
@@ -203,33 +225,30 @@ int main(int Argc, char **Argv) {
   std::printf("cold     first-window elide/op: %.3f\n", ColdFirst);
   std::printf("restored first-window elide/op: %.3f (%.0f%% of steady)\n",
               RestoredFirst, Steady > 0 ? 100.0 * RestoredFirst / Steady : 0.0);
-  bool WarmFromWindowZero =
-      Report.allWarm(Rest.resourceCount()) && Steady > 0 &&
-      RestoredFirst >= 0.9 * Steady && ColdFirst < 0.9 * Steady;
+  bool WarmFromWindowZero = RestoredWarm && Steady > 0 &&
+                            RestoredFirst >= 0.9 * Steady &&
+                            ColdFirst < 0.9 * Steady;
   std::printf("warm-restart acceptance: %s\n",
               WarmFromWindowZero ? "PASS (restored run peaks in window 0)"
                                  : "FAIL");
 
   // --- Fallback demo: corrupted and truncated images degrade cleanly -----
+  bool BadImageLoaded = false;
   if (RestPath.empty()) {
     jit::Interpreter Victim(*Env.Ctx, buildWarmGuest(),
                             jit::Interpreter::Options());
-    image::CheckpointContext VCtx;
-    image::InterpreterWarmState VWarm("jit.warm", Victim);
-    VCtx.registerResource(&VWarm);
-
     std::vector<uint8_t> Corrupt = ImageBytes;
     Corrupt[Corrupt.size() / 2] ^= 0x40;
-    image::RestoreReport BadRep = VCtx.restoreBytes(Corrupt);
-    std::printf("\ncorrupted image: %s\n", BadRep.summary().c_str());
-    for (const image::Diagnostic &D : BadRep.Diags)
-      std::printf("corrupted image: %s\n", D.render().c_str());
-
-    image::RestoreReport ShortRep =
-        VCtx.restoreBytes(ImageBytes.data(), ImageBytes.size() / 3);
-    std::printf("truncated image: %s\n", ShortRep.summary().c_str());
-    for (const image::Diagnostic &D : ShortRep.Diags)
-      std::printf("truncated image: %s\n", D.render().c_str());
+    auto RestoreBad = [&](const char *Tag, const uint8_t *Data,
+                          std::size_t Len) {
+      image::Diagnostic D;
+      image::LoadedImage Bad = image::LoadedImage::fromBytes(Data, Len, D);
+      BadImageLoaded |= Bad.loaded();
+      restoreWarm(Tag, Bad, D, Victim);
+    };
+    std::printf("\n");
+    RestoreBad("corrupted image", Corrupt.data(), Corrupt.size());
+    RestoreBad("truncated image", ImageBytes.data(), ImageBytes.size() / 3);
 
     // The victim still runs — cold, but alive (the whole point of the
     // fallback policy).
@@ -240,7 +259,7 @@ int main(int Argc, char **Argv) {
     std::printf("after rejected restores the engine still runs cold: "
                 "%.0f ops/s, elide/op %.3f\n",
                 Alive.R.OpsPerSec, Alive.ElidePerOp);
-    if (BadRep.ImageOk || ShortRep.ImageOk)
+    if (BadImageLoaded)
       std::fprintf(stderr, "error: bad image validated as OK\n");
   }
 
@@ -254,5 +273,6 @@ int main(int Argc, char **Argv) {
            {{"guard_zero_a", std::numeric_limits<double>::quiet_NaN()},
             {"guard_zero_b", std::numeric_limits<double>::infinity()}});
 
-  return Json.write(Env.JsonPath) ? 0 : 1;
+  bool JsonOk = Json.write(Env.JsonPath);
+  return JsonOk && WarmFromWindowZero && !BadImageLoaded ? 0 : 1;
 }

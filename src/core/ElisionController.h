@@ -103,9 +103,10 @@ struct AdaptiveElisionConfig {
   int BackoffSpinsMax = 512;
 };
 
-/// A quiesced copy of one controller's stats cell, for warm-image
-/// checkpoint/restore (src/image/). Field layout is part of the image
-/// format: extend only by appending (and bump image::ImageVersion).
+/// A quiesced copy of one controller's stats cell: the learned policy state
+/// a warm image stores (image/Resources.h writeControllerState). Field
+/// layout is part of the image format: extend only by appending (and bump
+/// image::ImageVersion).
 struct ElisionSnapshot {
   uint32_t State = 0;    ///< ElisionState, as its numeric value
   uint32_t Attempts = 0; ///< decayed-window attempt count

@@ -7,9 +7,8 @@
 /// \file
 /// The on-disk format for warm-runtime images (DESIGN.md §16): a fixed
 /// header — magic, format version, payload length, FNV-1a checksum — over a
-/// payload of named blobs. One blob per checkpointed resource; the
-/// checkpoint/restore protocol that decides *what* goes into a blob lives
-/// in image/Checkpoint.h, this file only moves validated bytes.
+/// payload of named blobs. What goes into a blob is decided by the codecs in
+/// image/Resources.h; this file only moves validated bytes.
 ///
 /// Every read is bounds-checked and every failure is sticky: a truncated,
 /// corrupted, or version-skewed image surfaces as a Diagnostic and an empty
@@ -35,7 +34,7 @@ namespace image {
 /// images of any other version (version skew degrades to cold start by
 /// policy — no cross-version migration code to get wrong).
 inline constexpr uint32_t ImageMagic = 0x534F4C49; // "SOLI"
-inline constexpr uint32_t ImageVersion = 1;
+inline constexpr uint32_t ImageVersion = 2;
 
 /// Why an image failed to load.
 enum class ImageDiag : uint8_t {
@@ -63,20 +62,14 @@ struct Diagnostic {
   std::string render() const;
 };
 
-/// Append-only little-endian encoder for one resource's blob.
+/// Append-only little-endian encoder for one blob.
 class ImageWriter {
 public:
   void u8(uint8_t V) { Bytes.push_back(V); }
-  void u16(uint16_t V) { appendLe(&V, sizeof(V)); }
   void u32(uint32_t V) { appendLe(&V, sizeof(V)); }
   void u64(uint64_t V) { appendLe(&V, sizeof(V)); }
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    u64(Bits);
-  }
   void str(const std::string &S) {
     u32(static_cast<uint32_t>(S.size()));
     Bytes.insert(Bytes.end(), S.begin(), S.end());
@@ -115,11 +108,6 @@ public:
     read(&V, sizeof(V));
     return V;
   }
-  uint16_t u16() {
-    uint16_t V = 0;
-    read(&V, sizeof(V));
-    return V;
-  }
   uint32_t u32() {
     uint32_t V = 0;
     read(&V, sizeof(V));
@@ -132,12 +120,6 @@ public:
   }
   int32_t i32() { return static_cast<int32_t>(u32()); }
   int64_t i64() { return static_cast<int64_t>(u64()); }
-  double f64() {
-    uint64_t Bits = u64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
   std::string str() {
     uint32_t N = u32();
     if (N > remaining()) {
@@ -192,7 +174,7 @@ uint64_t fnv1a(const uint8_t *Data, std::size_t Len);
 /// Collects named blobs and serializes header + payload.
 class ImageBuilder {
 public:
-  /// Adds (or replaces) one resource blob.
+  /// Adds (or replaces) one named blob.
   void addBlob(const std::string &Name, std::vector<uint8_t> Data);
 
   /// Header + blob directory, checksummed — ready to write.
@@ -224,7 +206,7 @@ public:
   static LoadedImage fromFile(const std::string &Path, Diagnostic &Diag);
 
   bool loaded() const { return Ok; }
-  /// The named blob, or nullptr when absent (per-resource cold start).
+  /// The named blob, or nullptr when absent (that component starts cold).
   const std::vector<uint8_t> *blob(const std::string &Name) const;
   std::size_t blobCount() const { return Blobs.size(); }
 

@@ -1,22 +1,22 @@
-//===- image/Resources.h - Checkpointable runtime resources -----*- C++ -*-===//
+//===- image/Resources.h - Warm-image state codecs --------------*- C++ -*-===//
 //
 // Part of the SOLERO reproduction (PLDI 2010).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Codecs and Resource adapters for the runtime state a warm image carries
-/// (DESIGN.md §16):
+/// Codecs for the learned runtime state a warm image carries (DESIGN.md
+/// §16). An image stores inputs, never derived state:
 ///
 ///  - ElisionController stats cells (the adaptive per-lock state machines),
 ///  - BravoRwLock bias/inhibit/revocation state,
-///  - the classifier's analysis tables (region kinds, purity, benign-write
-///    bits, diagnostics) via ClassifierCodec,
-///  - profiles and translated TInst streams,
-///  - a whole Interpreter's warm state (classification + translation +
-///    profile + its lock's controller), re-validated on load by
-///    Interpreter::adoptWarmState with fallback to the fresh translation,
+///  - an Interpreter's profile plus its SOLERO lock's controller cell; the
+///    restoring interpreter re-derives classification and translation from
+///    the profile itself (Interpreter::adoptProfile),
 ///  - per-shard lock state of a ShardedKvStore (templated over policy).
+///
+/// Callers put each encoded state into a named blob with ImageBuilder and
+/// look it up again in a LoadedImage (image/Image.h).
 ///
 /// Every read_/restore-side function returns false on malformed input and
 /// leaves the target object in its previous (cold) state wherever the
@@ -33,7 +33,7 @@
 
 #include "core/ElisionController.h"
 #include "core/SoleroLock.h"
-#include "image/Checkpoint.h"
+#include "image/Image.h"
 #include "jit/Interpreter.h"
 #include "kv/ShardedKvStore.h"
 #include "locks/BravoRwLock.h"
@@ -43,8 +43,6 @@ namespace image {
 
 // --- ElisionController -----------------------------------------------------
 
-/// Decode-only: fills \p S without touching any controller.
-bool readControllerSnapshot(ImageReader &R, ElisionSnapshot &S);
 void writeControllerState(ImageWriter &W, const ElisionController &C);
 /// Decode + ElisionController::restore (which clamps/validates).
 bool readControllerState(ImageReader &R, ElisionController &C);
@@ -54,77 +52,20 @@ bool readControllerState(ImageReader &R, ElisionController &C);
 void writeBravoState(ImageWriter &W, const BravoRwLock &L);
 bool readBravoState(ImageReader &R, BravoRwLock &L);
 
-// --- JIT state -------------------------------------------------------------
+// --- JIT warm state --------------------------------------------------------
 
-/// Round-trips jit::ClassifiedModule's private analysis tables (friend of
-/// the class; see jit/ReadOnlyClassifier.h).
-class ClassifierCodec {
-public:
-  static void write(ImageWriter &W, const jit::ClassifiedModule &M);
-  /// Structural decode only — semantic validation against the module is
-  /// Interpreter::adoptWarmState's job.
-  static bool read(ImageReader &R, jit::ClassifiedModule &M);
-};
-
+/// The profile half of a jit.warm blob (public so tests can encode
+/// crafted profiles).
 void writeProfile(ImageWriter &W, const jit::Profile &P);
-bool readProfile(ImageReader &R, jit::Profile &P);
 
-void writeTranslation(ImageWriter &W, const jit::TranslatedModule &T);
-bool readTranslation(ImageReader &R, jit::TranslatedModule &T);
-
-// --- Resource adapters -----------------------------------------------------
-
-/// One adaptive controller as a checkpointable resource.
-class ElisionControllerResource : public Resource {
-public:
-  ElisionControllerResource(std::string Name, ElisionController &C)
-      : Name(std::move(Name)), Ctrl(C) {}
-  std::string name() const override { return Name; }
-  void beforeCheckpoint(ImageWriter &W) override {
-    writeControllerState(W, Ctrl);
-  }
-  bool afterRestore(ImageReader &R) override {
-    ElisionSnapshot S;
-    return readControllerSnapshot(R, S) && R.ok() && Ctrl.restore(S);
-  }
-
-private:
-  std::string Name;
-  ElisionController &Ctrl;
-};
-
-/// One BRAVO lock's bias state as a checkpointable resource.
-class BravoLockResource : public Resource {
-public:
-  BravoLockResource(std::string Name, BravoRwLock &L)
-      : Name(std::move(Name)), Lock(L) {}
-  std::string name() const override { return Name; }
-  void beforeCheckpoint(ImageWriter &W) override { writeBravoState(W, Lock); }
-  bool afterRestore(ImageReader &R) override {
-    return readBravoState(R, Lock) && R.ok();
-  }
-
-private:
-  std::string Name;
-  BravoRwLock &Lock;
-};
-
-/// A whole execution engine's warm state: classification, translated
-/// stream, profile, and the SOLERO lock's adaptive controller. On restore
-/// everything is re-validated against the interpreter's own module; any
-/// mismatch keeps the interpreter's fresh cold-start translation.
-class InterpreterWarmState : public Resource {
-public:
-  InterpreterWarmState(std::string Name, jit::Interpreter &I)
-      : Name(std::move(Name)), Interp(I) {}
-  std::string name() const override { return Name; }
-  void beforeCheckpoint(ImageWriter &W) override;
-  bool afterRestore(ImageReader &R) override;
-
-private:
-  std::string Name;
-  jit::Interpreter &Interp;
-};
+/// An interpreter's learned state: its profile and its SOLERO lock's
+/// controller cell.
+void writeJitWarmState(ImageWriter &W, jit::Interpreter &I);
+/// Decodes a writeJitWarmState blob into \p I. False when the blob does
+/// not parse, its profile does not fit \p I's module (the interpreter then
+/// keeps its cold state), or the controller cell is rejected (the profile
+/// and what it derives stay adopted; only the policy warmth is lost).
+bool readJitWarmState(ImageReader &R, jit::Interpreter &I);
 
 // --- Sharded KV store lock state -------------------------------------------
 //

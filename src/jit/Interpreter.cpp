@@ -180,122 +180,14 @@ void Interpreter::endProfiling() {
   retranslate();
 }
 
-bool Interpreter::validateWarmTranslation(const TranslatedModule &T) const {
-  if (T.Methods.size() != Mod.methodCount())
+bool Interpreter::adoptProfile(Profile P) {
+  if (P.Counts.size() != Mod.methodCount())
     return false;
-  uint32_t MaxFrame = 0;
-  for (uint32_t Id = 0; Id < Mod.methodCount(); ++Id) {
-    const TranslatedMethod &TM = T.Methods[Id];
-    const MethodFacts &MF = Facts[Id];
-    if (TM.NumParams != MF.NumParams || TM.NumLocals != MF.NumLocals ||
-        TM.FrameSlots != MF.FrameSlots ||
-        TM.NumLocals + TM.MaxStack != TM.FrameSlots)
+  for (uint32_t Id = 0; Id < Mod.methodCount(); ++Id)
+    if (P.Counts[Id].size() != Mod.method(Id).Code.size())
       return false;
-    const auto StreamLen = static_cast<int64_t>(TM.Code.size());
-    const std::size_t OrigLen = Mod.method(Id).Code.size();
-    if (TM.PcMap.size() != TM.Code.size())
-      return false;
-    for (uint32_t Pc : TM.PcMap)
-      if (Pc >= OrigLen)
-        return false;
-    if (TM.FrameSlots > MaxFrame)
-      MaxFrame = TM.FrameSlots;
-    for (const TInst &I : TM.Code) {
-      if (I.Op >= NumTOps)
-        return false;
-      switch (I.op()) {
-      case TOp::Jump:
-      case TOp::JumpIfZero:
-      case TOp::JumpIfNonZero:
-      case TOp::CmpLtJumpIfZero:
-      case TOp::CmpEqJumpIfZero:
-        if (I.A < 0 || I.A >= StreamLen)
-          return false;
-        break;
-      case TOp::SyncEnter:
-        // B carries the RegionKind inline cache; A the continuation,
-        // which may sit one past the last instruction of a region-final
-        // stream position.
-        if (I.B > static_cast<uint16_t>(RegionKind::Writing))
-          return false;
-        if (I.A < 0 || I.A > StreamLen)
-          return false;
-        break;
-      case TOp::Invoke:
-        if (I.A < 0 || static_cast<std::size_t>(I.A) >= Mod.methodCount())
-          return false;
-        break;
-      case TOp::Load:
-      case TOp::Store:
-        if (I.A < 0 || static_cast<uint32_t>(I.A) >= TM.NumLocals)
-          return false;
-        break;
-      case TOp::LoadGetField:
-        if (I.B >= TM.NumLocals || I.A < 0 ||
-            static_cast<uint32_t>(I.A) >= ObjectIntFields)
-          return false;
-        break;
-      case TOp::GetField:
-      case TOp::PutField:
-        if (I.A < 0 || static_cast<uint32_t>(I.A) >= ObjectIntFields)
-          return false;
-        break;
-      case TOp::GetRef:
-      case TOp::PutRef:
-        if (I.A < 0 || static_cast<uint32_t>(I.A) >= ObjectRefFields)
-          return false;
-        break;
-      case TOp::GetStatic:
-      case TOp::PutStatic:
-        if (I.A < 0 || static_cast<uint32_t>(I.A) >= Mod.NumStatics)
-          return false;
-        break;
-      case TOp::ProfileCount:
-        if (I.A < 0 || static_cast<std::size_t>(I.A) >= OrigLen)
-          return false;
-        break;
-      default:
-        break;
-      }
-    }
-  }
-  return T.MaxFrameSlots == MaxFrame;
-}
-
-bool Interpreter::adoptWarmState(ClassifiedModule WarmClasses,
-                                 TranslatedModule WarmTrans,
-                                 Profile WarmProf) {
-  const auto NumMethods = static_cast<uint32_t>(Mod.methodCount());
-  if (WarmClasses.methodCount() != NumMethods)
-    return false;
-  // Region boundaries derive from the verifier over this same bytecode:
-  // the warm classification must cover exactly the regions the cold one
-  // found. Only the *kinds* (and diagnostics) may differ — carrying the
-  // profile-earned ReadMostly verdicts forward is the point.
-  for (uint32_t Id = 0; Id < NumMethods; ++Id) {
-    const std::vector<ClassifiedRegion> &Warm = WarmClasses.regions(Id);
-    const std::vector<ClassifiedRegion> &Cold = Classes.regions(Id);
-    if (Warm.size() != Cold.size())
-      return false;
-    for (std::size_t I = 0; I < Warm.size(); ++I)
-      if (Warm[I].Region.EnterPc != Cold[I].Region.EnterPc ||
-          Warm[I].Region.ExitPc != Cold[I].Region.ExitPc ||
-          Warm[I].Diags.empty())
-        return false;
-  }
-  if (WarmProf.Counts.size() != NumMethods)
-    return false;
-  for (uint32_t Id = 0; Id < NumMethods; ++Id)
-    if (WarmProf.Counts[Id].size() != Mod.method(Id).Code.size())
-      return false;
-  if (Opts.Mode == DispatchMode::Threaded &&
-      !validateWarmTranslation(WarmTrans))
-    return false;
-  Classes = std::move(WarmClasses);
-  Prof = std::move(WarmProf);
-  rebuildRegionTables();
-  if (Opts.Mode == DispatchMode::Threaded)
-    Trans = std::move(WarmTrans);
+  Prof = std::move(P);
+  reclassifyWithProfile();
   return true;
 }
 

@@ -167,24 +167,20 @@ public:
   void reclassifyWithProfile();
 
   /// Ends the single-threaded profiling phase: stops baking ProfileCount
-  /// instrumentation into the stream and retranslates. Call after
-  /// reclassifyWithProfile() so a checkpoint captures the uninstrumented
-  /// production stream. Quiescent point only.
+  /// instrumentation into the stream and retranslates, so the engine runs
+  /// the uninstrumented production stream. Quiescent point only.
   void endProfiling();
 
-  /// Adopts warm-image state (image/Resources.h): a classification,
-  /// translated stream, and profile captured by an earlier process.
-  /// Everything is re-validated against this module's verifier facts —
-  /// method count, region boundaries, frame shapes, stream offsets,
-  /// opcode/branch/callee ranges — and on ANY mismatch the call returns
-  /// false and keeps the fresh cold-start state, which *is* the fallback
-  /// retranslation (the constructor already classified and translated).
-  /// Quiescent point only (no invoke in flight).
-  bool adoptWarmState(ClassifiedModule WarmClasses, TranslatedModule WarmTrans,
-                      Profile WarmProf);
+  /// Adopts a profile collected by an earlier process (the warm image,
+  /// image/Resources.h) and re-derives the classification and translation
+  /// from it with reclassifyWithProfile(). A profile whose method count
+  /// or per-method code length differs from this module's is rejected:
+  /// the call returns false and the cold state stays. Quiescent point
+  /// only (no invoke in flight).
+  bool adoptProfile(Profile P);
 
   /// The lock guarding all SOLERO-mode guest regions (its adaptive
-  /// controller is part of the warm image).
+  /// controller cell is part of the warm image).
   SoleroLock &soleroLock() { return Solero; }
 
   /// Allocates a zeroed guest object (for test/bench setup and NewObject).
@@ -273,9 +269,6 @@ private:
   const RegionEntry &regionAt(uint32_t MethodId, uint32_t EnterPc) const;
   void rebuildRegionTables();
   void retranslate();
-  /// Structural validation of a warm-image translated stream against this
-  /// module's verifier facts (adoptWarmState's gate).
-  bool validateWarmTranslation(const TranslatedModule &T) const;
   /// Called before any write or side effect: upgrades the innermost
   /// read-mostly section if one is active (Figure 17).
   void beforeWriteEffect(ExecCtx &EC) {

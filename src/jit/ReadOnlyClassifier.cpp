@@ -7,6 +7,7 @@
 #include "jit/ReadOnlyClassifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "jit/analysis/EscapeAnalysis.h"
@@ -121,6 +122,12 @@ Diagnostic effectDiag(const Instruction &I, uint32_t Pc) {
   return D;
 }
 
+/// Profile sums saturate instead of wrapping: a wrapped write count would
+/// understate a region's writes and make it look read-mostly.
+uint64_t addSaturating(uint64_t A, uint64_t B) {
+  return A > UINT64_MAX - B ? UINT64_MAX : A + B;
+}
+
 } // namespace
 
 ClassifiedModule jit::classifyModule(const Module &M, const Profile *P,
@@ -202,13 +209,14 @@ ClassifiedModule jit::classifyModule(const Module &M, const Profile *P,
               Blockers.push_back({DiagCode::EscapingFreshWrite, Pc, I.Op,
                                   I.A, Esc->writeBaseAllocPc(Pc)});
               if (P)
-                WriteExecutions += P->count(Id, Pc);
+                WriteExecutions =
+                    addSaturating(WriteExecutions, P->count(Id, Pc));
               continue;
             }
           }
           Blockers.push_back(effectDiag(I, Pc));
           if (P)
-            WriteExecutions += P->count(Id, Pc);
+            WriteExecutions = addSaturating(WriteExecutions, P->count(Id, Pc));
           continue;
         }
         if (I.Op == Opcode::Store &&
@@ -221,7 +229,7 @@ ClassifiedModule jit::classifyModule(const Module &M, const Profile *P,
             !Purity.isPure(static_cast<uint32_t>(I.A))) {
           Blockers.push_back({DiagCode::ImpureInvoke, Pc, I.Op, I.A});
           if (P)
-            WriteExecutions += P->count(Id, Pc);
+            WriteExecutions = addSaturating(WriteExecutions, P->count(Id, Pc));
           continue;
         }
       }
@@ -231,9 +239,11 @@ ClassifiedModule jit::classifyModule(const Module &M, const Profile *P,
         C.Diags.push_back({DiagCode::NoWritesOrSideEffects});
       } else if (P && !NestedRegionSkip && !HardBlock &&
                  P->count(Id, R.EnterPc) > 0 &&
-                 WriteExecutions * 10 < P->count(Id, R.EnterPc)) {
+                 WriteExecutions <= (P->count(Id, R.EnterPc) - 1) / 10) {
         // Section 5 heuristic: writes that execute on fewer than 10% of
-        // region entries make the region read-mostly.
+        // region entries make the region read-mostly. The test is
+        // WriteExecutions * 10 < entries, rearranged so that counts near
+        // UINT64_MAX (a profile can come from a warm image) cannot wrap.
         C.Kind = RegionKind::ReadMostly;
         C.Diags.push_back({DiagCode::RareWrites});
       } else {

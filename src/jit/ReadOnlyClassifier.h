@@ -46,9 +46,6 @@
 #include "jit/analysis/Liveness.h"
 
 namespace solero {
-namespace image {
-class ClassifierCodec;
-} // namespace image
 namespace jit {
 
 /// How the interpreter should lock a synchronized region.
@@ -105,12 +102,6 @@ public:
   /// Inter-procedural purity lattice (public for the analysis helper).
   enum class PurityState : uint8_t { Unknown, InProgress, Pure, Impure };
 
-  /// Number of analyzed methods (bounds regions(); image validation
-  /// size-checks against this before indexing).
-  uint32_t methodCount() const {
-    return static_cast<uint32_t>(PerMethod.size());
-  }
-
   /// Regions of \p MethodId, ordered by EnterPc (as in VerifiedMethod).
   const std::vector<ClassifiedRegion> &regions(uint32_t MethodId) const {
     SOLERO_CHECK(MethodId < PerMethod.size(), "method id out of range");
@@ -138,9 +129,6 @@ public:
 private:
   friend ClassifiedModule classifyModule(const Module &M, const Profile *P,
                                          const ClassifierOptions &Opts);
-  /// The warm-image serializer (image/Resources.cpp) round-trips the
-  /// private analysis tables without widening the public surface.
-  friend class ::solero::image::ClassifierCodec;
   std::vector<std::vector<ClassifiedRegion>> PerMethod;
   std::vector<PurityState> Purity;
   std::vector<BitVec> BenignWrites; ///< per method, bit per pc

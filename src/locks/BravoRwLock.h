@@ -106,10 +106,11 @@ private:
   std::unique_ptr<std::atomic<uint32_t>[]> HighWater;
 };
 
-/// A quiesced copy of one BravoRwLock's adaptive state, for warm-image
-/// checkpoint/restore (src/image/). The inhibit deadline is serialized as
-/// *remaining* nanoseconds: the absolute steady_clock deadline is
-/// meaningless in another process (or even later in this one).
+/// A quiesced copy of one BravoRwLock's adaptive state: the learned bias
+/// state a warm image stores (image/Resources.h writeBravoState). The
+/// inhibit deadline is serialized as *remaining* nanoseconds: the absolute
+/// steady_clock deadline is meaningless in another process (or even later
+/// in this one).
 struct BravoSnapshot {
   bool RBias = false;
   int64_t InhibitRemainingNs = 0;

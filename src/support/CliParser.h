@@ -21,8 +21,9 @@
 
 namespace solero {
 
-/// Parses `argv` into a flag map. Unknown flags are kept; callers query the
-/// flags they understand and may call reportUnknown() for strictness.
+/// Parses `argv` into a flag map. Callers query the flags they understand;
+/// unknown flags are silently kept and never reported (making them an error
+/// is ROADMAP item 5).
 class CliParser {
 public:
   CliParser(int Argc, char **Argv);

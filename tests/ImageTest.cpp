@@ -6,18 +6,18 @@
 ///
 /// Covers src/image/ (DESIGN.md §16): the serialization format's failure
 /// modes (truncation, corruption, version skew — every one a Diagnostic,
-/// never a crash), the CRaC-style checkpoint/restore protocol (ordering,
-/// per-resource degradation, byte-identical round trips), controller and
-/// BRAVO state rehydration, warm-translation adoption with fallback to
-/// retranslation, the JSON-emitter regressions the warm_restart probe row
-/// guards in CI, and a TSan-checked snapshot under live readers.
+/// never a crash), controller and BRAVO state rehydration (byte-identical
+/// round trips), warm interpreter restore (the restored classification and
+/// translation are exactly what the profile derives; adversarial or
+/// mismatched profiles never make a writing region read-only), the
+/// JSON-emitter regressions the warm_restart probe row guards in CI, and a
+/// TSan-checked snapshot under live readers.
 ///
 /// Every suite is prefixed "Image" so the CI TSan job's gtest_filter
 /// picks all of them up with a single Image* pattern.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "image/Checkpoint.h"
 #include "image/Image.h"
 #include "image/Resources.h"
 
@@ -31,9 +31,15 @@
 
 #include <atomic>
 #include <cstdio>
+#include <ostream>
 #include <thread>
 
 #include <gtest/gtest.h>
+
+namespace solero::jit {
+// Region kinds print by name in assertion failures.
+void PrintTo(RegionKind K, std::ostream *OS) { *OS << regionKindName(K); }
+} // namespace solero::jit
 
 using namespace solero;
 using namespace solero::image;
@@ -75,35 +81,31 @@ SoleroConfig tinyAdaptiveConfig() {
 TEST(ImageFormat, PrimitivesRoundTrip) {
   ImageWriter W;
   W.u8(0xAB);
-  W.u16(0xBEEF);
   W.u32(0xDEADBEEFu);
   W.u64(0x0123456789ABCDEFull);
   W.i32(-42);
   W.i64(-1234567890123ll);
-  W.f64(2.5);
   W.str("solero");
   std::vector<uint8_t> Bytes = W.take();
 
   ImageReader R(Bytes);
   EXPECT_EQ(R.u8(), 0xAB);
-  EXPECT_EQ(R.u16(), 0xBEEF);
   EXPECT_EQ(R.u32(), 0xDEADBEEFu);
   EXPECT_EQ(R.u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(R.i32(), -42);
   EXPECT_EQ(R.i64(), -1234567890123ll);
-  EXPECT_EQ(R.f64(), 2.5);
   EXPECT_EQ(R.str(), "solero");
   EXPECT_TRUE(R.ok());
 }
 
 TEST(ImageFormat, ReaderFailureIsSticky) {
   ImageWriter W;
-  W.u16(7);
+  W.u32(7);
   std::vector<uint8_t> Bytes = W.take();
   ImageReader R(Bytes);
-  EXPECT_EQ(R.u64(), 0u); // 2 bytes cannot satisfy 8
+  EXPECT_EQ(R.u64(), 0u); // 4 bytes cannot satisfy 8
   EXPECT_TRUE(R.failed());
-  EXPECT_EQ(R.u16(), 0u); // sticky: even the valid prefix reads as zero
+  EXPECT_EQ(R.u8(), 0u); // sticky: even the valid prefix reads as zero
   EXPECT_FALSE(R.ok());
   EXPECT_EQ(R.remaining(), 0u);
 }
@@ -188,6 +190,18 @@ TEST(ImageFormat, VersionSkewRejected) {
   EXPECT_EQ(D.Code, ImageDiag::VersionSkew) << D.render();
 }
 
+TEST(ImageFormat, PreviousVersionRejected) {
+  // Version-1 images carried derived JIT state in their jit.warm blob;
+  // they must degrade to a cold start, not be parsed as a profile.
+  std::vector<uint8_t> Bytes = sampleImage();
+  ASSERT_EQ(Bytes[4], ImageVersion);
+  Bytes[4] = 1;
+  Diagnostic D;
+  LoadedImage Img = LoadedImage::fromBytes(Bytes, D);
+  EXPECT_FALSE(Img.loaded());
+  EXPECT_EQ(D.Code, ImageDiag::VersionSkew) << D.render();
+}
+
 TEST(ImageFormat, BadMagicRejected) {
   std::vector<uint8_t> Bytes = sampleImage();
   Bytes[0] ^= 0xFF;
@@ -204,92 +218,6 @@ TEST(ImageFormat, MissingFileDiagnosed) {
   EXPECT_FALSE(Img.loaded());
   EXPECT_EQ(D.Code, ImageDiag::MissingFile);
   EXPECT_NE(D.render().find("cold start"), std::string::npos);
-}
-
-// --- Checkpoint/restore protocol -------------------------------------------
-
-/// Scripted resource: writes a fixed byte, records restore order, restores
-/// successfully only when told to.
-class ScriptedResource : public Resource {
-public:
-  ScriptedResource(std::string Name, uint8_t Byte, bool Accept,
-                   std::vector<std::string> &Order)
-      : Name_(std::move(Name)), Byte(Byte), Accept(Accept), Order(Order) {}
-  std::string name() const override { return Name_; }
-  void beforeCheckpoint(ImageWriter &W) override { W.u8(Byte); }
-  bool afterRestore(ImageReader &R) override {
-    Order.push_back(Name_);
-    Seen = R.u8();
-    return Accept && R.ok();
-  }
-
-  std::string Name_;
-  uint8_t Byte;
-  bool Accept;
-  uint8_t Seen = 0;
-  std::vector<std::string> &Order;
-};
-
-TEST(ImageCheckpoint, RestoreRunsInReverseRegistrationOrder) {
-  std::vector<std::string> Order;
-  ScriptedResource A("a", 1, true, Order), B("b", 2, true, Order),
-      C("c", 3, true, Order);
-  CheckpointContext Ctx;
-  Ctx.registerResource(&A);
-  Ctx.registerResource(&B);
-  Ctx.registerResource(&C);
-  RestoreReport Rep = Ctx.restoreBytes(Ctx.checkpointBytes());
-  EXPECT_TRUE(Rep.allWarm(Ctx.resourceCount())) << Rep.summary();
-  ASSERT_EQ(Order, (std::vector<std::string>{"c", "b", "a"}));
-  EXPECT_EQ(A.Seen, 1);
-  EXPECT_EQ(C.Seen, 3);
-}
-
-TEST(ImageCheckpoint, MissingBlobDegradesPerResource) {
-  std::vector<std::string> Order;
-  ScriptedResource A("a", 1, true, Order);
-  CheckpointContext WriteCtx;
-  WriteCtx.registerResource(&A);
-  std::vector<uint8_t> Bytes = WriteCtx.checkpointBytes();
-
-  ScriptedResource B("b", 2, true, Order); // no blob in the image
-  CheckpointContext ReadCtx;
-  ReadCtx.registerResource(&A);
-  ReadCtx.registerResource(&B);
-  RestoreReport Rep = ReadCtx.restoreBytes(Bytes);
-  EXPECT_TRUE(Rep.ImageOk);
-  EXPECT_EQ(Rep.Restored, 1u);
-  EXPECT_EQ(Rep.Missing, 1u);
-  EXPECT_FALSE(Rep.allWarm(ReadCtx.resourceCount()));
-  ASSERT_EQ(Rep.Diags.size(), 1u);
-}
-
-TEST(ImageCheckpoint, RejectedBlobCountsAndOthersRestore) {
-  std::vector<std::string> Order;
-  ScriptedResource A("a", 1, true, Order), B("b", 2, false, Order);
-  CheckpointContext Ctx;
-  Ctx.registerResource(&A);
-  Ctx.registerResource(&B);
-  RestoreReport Rep = Ctx.restoreBytes(Ctx.checkpointBytes());
-  EXPECT_TRUE(Rep.ImageOk);
-  EXPECT_EQ(Rep.Restored, 1u);
-  EXPECT_EQ(Rep.Rejected, 1u);
-  EXPECT_NE(Rep.summary().find("rejected"), std::string::npos);
-}
-
-TEST(ImageCheckpoint, StructurallyBadImageRestoresNothing) {
-  std::vector<std::string> Order;
-  ScriptedResource A("a", 1, true, Order);
-  CheckpointContext Ctx;
-  Ctx.registerResource(&A);
-  std::vector<uint8_t> Bytes = Ctx.checkpointBytes();
-  Bytes[Bytes.size() - 1] ^= 0x10; // payload corruption
-  RestoreReport Rep = Ctx.restoreBytes(Bytes);
-  EXPECT_FALSE(Rep.ImageOk);
-  EXPECT_EQ(Rep.Restored, 0u);
-  EXPECT_TRUE(Order.empty()); // afterRestore never ran
-  ASSERT_FALSE(Rep.Diags.empty());
-  EXPECT_EQ(Rep.Diags[0].Code, ImageDiag::ChecksumMismatch);
 }
 
 // --- Controller state ------------------------------------------------------
@@ -458,6 +386,56 @@ jit::Module buildMostlyGuest() {
   return M;
 }
 
+/// One-blob image of \p I's warm state (the warm_restart checkpoint).
+std::vector<uint8_t> jitImage(jit::Interpreter &I) {
+  ImageWriter W;
+  writeJitWarmState(W, I);
+  ImageBuilder B;
+  B.addBlob("jit.warm", W.take());
+  return B.build();
+}
+
+/// Loads \p Bytes and restores \p I from its jit.warm blob.
+bool restoreJitImage(const std::vector<uint8_t> &Bytes, jit::Interpreter &I) {
+  Diagnostic D;
+  LoadedImage Img = LoadedImage::fromBytes(Bytes, D);
+  const std::vector<uint8_t> *Blob = Img.blob("jit.warm");
+  if (!Blob)
+    return false;
+  ImageReader R(*Blob);
+  return readJitWarmState(R, I);
+}
+
+std::vector<jit::RegionKind> regionKinds(const jit::Module &M,
+                                         const jit::ClassifiedModule &C) {
+  std::vector<jit::RegionKind> Kinds;
+  for (uint32_t Id = 0; Id < M.methodCount(); ++Id)
+    for (const jit::ClassifiedRegion &R : C.regions(Id))
+      Kinds.push_back(R.Kind);
+  return Kinds;
+}
+
+void expectSameTranslation(const jit::TranslatedModule &Got,
+                           const jit::TranslatedModule &Want) {
+  ASSERT_EQ(Got.Methods.size(), Want.Methods.size());
+  EXPECT_EQ(Got.MaxFrameSlots, Want.MaxFrameSlots);
+  for (std::size_t Id = 0; Id < Want.Methods.size(); ++Id) {
+    const jit::TranslatedMethod &G = Got.Methods[Id];
+    const jit::TranslatedMethod &W = Want.Methods[Id];
+    EXPECT_EQ(G.NumParams, W.NumParams);
+    EXPECT_EQ(G.NumLocals, W.NumLocals);
+    EXPECT_EQ(G.MaxStack, W.MaxStack);
+    EXPECT_EQ(G.FrameSlots, W.FrameSlots);
+    EXPECT_EQ(G.PcMap, W.PcMap);
+    ASSERT_EQ(G.Code.size(), W.Code.size()) << "method " << Id;
+    for (std::size_t I = 0; I < W.Code.size(); ++I) {
+      EXPECT_EQ(G.Code[I].Op, W.Code[I].Op) << "method " << Id << " @" << I;
+      EXPECT_EQ(G.Code[I].B, W.Code[I].B) << "method " << Id << " @" << I;
+      EXPECT_EQ(G.Code[I].A, W.Code[I].A) << "method " << Id << " @" << I;
+    }
+  }
+}
+
 TEST(ImageInterp, RestoredWarmStateExecutesAndElides) {
   RuntimeContext Ctx(quietConfig());
   jit::Interpreter::Options Warm;
@@ -471,21 +449,16 @@ TEST(ImageInterp, RestoredWarmStateExecutesAndElides) {
   Donor.reclassifyWithProfile();
   Donor.endProfiling();
   ASSERT_EQ(Donor.classification().regions(0)[0].Kind, jit::RegionKind::ReadMostly);
-
-  CheckpointContext Ckpt;
-  InterpreterWarmState DonorRes("jit.warm", Donor);
-  Ckpt.registerResource(&DonorRes);
-  std::vector<uint8_t> Bytes = Ckpt.checkpointBytes();
+  std::vector<uint8_t> Bytes = jitImage(Donor);
 
   jit::Interpreter Fresh(Ctx, buildMostlyGuest(), jit::Interpreter::Options());
   ASSERT_EQ(Fresh.classification().regions(0)[0].Kind, jit::RegionKind::Writing);
-  CheckpointContext Rest;
-  InterpreterWarmState FreshRes("jit.warm", Fresh);
-  Rest.registerResource(&FreshRes);
-  RestoreReport Rep = Rest.restoreBytes(Bytes);
-  ASSERT_TRUE(Rep.allWarm(Rest.resourceCount())) << Rep.summary();
-  // The restored engine carries the profiled classification...
-  EXPECT_EQ(Fresh.classification().regions(0)[0].Kind, jit::RegionKind::ReadMostly);
+  ASSERT_TRUE(restoreJitImage(Bytes, Fresh));
+  // The restored engine re-derives exactly the donor's classification and
+  // translation from the profile alone...
+  EXPECT_EQ(regionKinds(Fresh.module(), Fresh.classification()),
+            regionKinds(Donor.module(), Donor.classification()));
+  expectSameTranslation(Fresh.translated(), Donor.translated());
 
   // ...executes identically to the donor (differential check)...
   jit::GuestObject *FObj = Fresh.allocateObject();
@@ -521,12 +494,9 @@ TEST(ImageInterp, MismatchedModuleFallsBackToRetranslation) {
     Donor.invoke("mostly", {jit::Value::ofRef(DObj), jit::Value::ofInt(0)});
   Donor.reclassifyWithProfile();
   Donor.endProfiling();
-  CheckpointContext Ckpt;
-  InterpreterWarmState DonorRes("jit.warm", Donor);
-  Ckpt.registerResource(&DonorRes);
-  std::vector<uint8_t> Bytes = Ckpt.checkpointBytes();
+  std::vector<uint8_t> Bytes = jitImage(Donor);
 
-  // A *different* guest: the blob decodes but validation must reject it.
+  // A *different* guest: the blob decodes but its profile does not fit.
   jit::MethodBuilder B("other", 1, 2);
   B.load(0).syncEnter();
   B.load(0).getField(0).store(1);
@@ -535,16 +505,87 @@ TEST(ImageInterp, MismatchedModuleFallsBackToRetranslation) {
   jit::Module Other;
   Other.addMethod(B.take());
   jit::Interpreter Victim(Ctx, std::move(Other), jit::Interpreter::Options());
-  CheckpointContext Rest;
-  InterpreterWarmState VictimRes("jit.warm", Victim);
-  Rest.registerResource(&VictimRes);
-  RestoreReport Rep = Rest.restoreBytes(Bytes);
-  EXPECT_TRUE(Rep.ImageOk);
-  EXPECT_EQ(Rep.Rejected, 1u); // adoption refused, cold state kept
+  jit::TranslatedModule ColdTrans = Victim.translated();
+  EXPECT_FALSE(restoreJitImage(Bytes, Victim)); // cold state kept
+  expectSameTranslation(Victim.translated(), ColdTrans);
   // The fallback *is* the fresh translation: execution still works.
   jit::GuestObject *VObj = Victim.allocateObject();
   VObj->F[0].write(21);
   EXPECT_EQ(Victim.invoke("other", {jit::Value::ofRef(VObj)}).asInt(), 21);
+}
+
+/// Adversarial profile blobs against the statically Writing "mostly"
+/// region. Whatever the counts, the restored kinds are what the classifier
+/// derives from them, a statically Writing region never becomes ReadOnly,
+/// and a profile shaped for another module is refused outright.
+TEST(ImageInterp, AdversarialProfilesNeverElideWritingRegions) {
+  constexpr uint64_t Max = UINT64_MAX;
+  const jit::Module M = buildMostlyGuest();
+  const uint32_t Len = static_cast<uint32_t>(M.method(0).Code.size());
+  constexpr uint32_t EnterPc = 1, WritePc = 6;
+  ASSERT_EQ(M.method(0).Code[EnterPc].Op, jit::Opcode::SyncEnter);
+  ASSERT_EQ(M.method(0).Code[WritePc].Op, jit::Opcode::PutField);
+
+  /// Counts[0] with every pc at \p Fill, then the entry and write sites.
+  auto Counts = [&](uint64_t Fill, uint64_t Entries, uint64_t Writes) {
+    jit::Profile P;
+    P.Counts.assign(1, std::vector<uint64_t>(Len, Fill));
+    P.Counts[0][EnterPc] = Entries;
+    P.Counts[0][WritePc] = Writes;
+    return P;
+  };
+  jit::Profile ExtraMethod = Counts(0, 1000, 1);
+  ExtraMethod.Counts.push_back(std::vector<uint64_t>(Len, 0));
+  jit::Profile ShortMethod = Counts(0, 1000, 1);
+  ShortMethod.Counts[0].pop_back();
+
+  struct Case {
+    const char *Name;
+    jit::Profile P;
+    bool Accepted;
+    jit::RegionKind Want;
+  };
+  const std::vector<Case> Cases = {
+      {"all-zero", Counts(0, 0, 0), true, jit::RegionKind::Writing},
+      {"all-max", Counts(Max, Max, Max), true, jit::RegionKind::Writing},
+      {"zero-entries", Counts(0, 0, 5), true, jit::RegionKind::Writing},
+      {"writes-above-entries", Counts(7, 10, 1000), true,
+       jit::RegionKind::Writing},
+      {"max-writes-one-entry", Counts(0, 1, Max), true,
+       jit::RegionKind::Writing},
+      // writes * 10 wraps to 0 in 64 bits: must not read as "rare".
+      {"wrapping-writes", Counts(0, 1000, 1ull << 63), true,
+       jit::RegionKind::Writing},
+      {"rare-writes", Counts(0, 1000, 1), true, jit::RegionKind::ReadMostly},
+      {"extra-method", ExtraMethod, false, jit::RegionKind::Writing},
+      {"short-method", ShortMethod, false, jit::RegionKind::Writing},
+      {"no-methods", jit::Profile{}, false, jit::RegionKind::Writing},
+  };
+
+  RuntimeContext Ctx(quietConfig());
+  const std::vector<jit::RegionKind> ColdKinds =
+      regionKinds(M, jit::classifyModule(M));
+  ASSERT_EQ(ColdKinds, std::vector<jit::RegionKind>{jit::RegionKind::Writing});
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    jit::Interpreter I(Ctx, buildMostlyGuest(), jit::Interpreter::Options());
+    ImageWriter W;
+    writeProfile(W, C.P);
+    writeControllerState(W, I.soleroLock().controller());
+    std::vector<uint8_t> Blob = W.take();
+    ImageReader R(Blob);
+    EXPECT_EQ(readJitWarmState(R, I), C.Accepted);
+
+    std::vector<jit::RegionKind> Kinds = regionKinds(M, I.classification());
+    EXPECT_EQ(Kinds, C.Accepted ? regionKinds(M, jit::classifyModule(M, &C.P))
+                                : ColdKinds);
+    EXPECT_EQ(Kinds, std::vector<jit::RegionKind>{C.Want});
+    for (std::size_t K = 0; K < Kinds.size(); ++K) {
+      if (ColdKinds[K] == jit::RegionKind::Writing) {
+        EXPECT_NE(Kinds[K], jit::RegionKind::ReadOnly);
+      }
+    }
+  }
 }
 
 // --- JSON emitter regressions ----------------------------------------------
