@@ -24,52 +24,7 @@
 
 using namespace solero;
 
-namespace {
-
 using HashMapT = JavaHashMap<int64_t, int64_t>;
-
-void runVariant(BenchEnv &Env, JsonReport &Json, const char *VariantId,
-                const char *Title, unsigned WritePct, bool FineGrained,
-                const std::vector<int> &Threads, int Rounds) {
-  std::printf("\n--- %s ---\n", Title);
-  TablePrinter T({"threads", "Lock ops/s", "RWLock ops/s", "BRAVO ops/s",
-                  "SOLERO ops/s", "SOLERO norm", "RWLock rmw/op",
-                  "BRAVO rmw/op", "SOLERO rmw/op", "SOLERO fail%"});
-  double LockBase = 0;
-  for (int N : Threads) {
-    int Maps = FineGrained ? N : 1;
-    std::vector<TrialRunner> Runners;
-    Runners.push_back(
-        makeMapRunner<HashMapT, TasukiPolicy>(Env, "Lock", N, WritePct, Maps));
-    Runners.push_back(
-        makeMapRunner<HashMapT, RwPolicy>(Env, "RWLock", N, WritePct, Maps));
-    Runners.push_back(makeMapRunner<HashMapT, BravoRwPolicy>(
-        Env, "BravoRW", N, WritePct, Maps));
-    Runners.push_back(
-        makeMapRunner<HashMapT, SoleroPolicy>(Env, "SOLERO", N, WritePct,
-                                              Maps));
-    std::vector<BenchResult> R = runInterleavedBest(Runners, Rounds);
-    const BenchResult &Lock = R[0], &Rw = R[1], &Bravo = R[2], &So = R[3];
-    if (LockBase == 0)
-      LockBase = Lock.OpsPerSec;
-    T.addRow({std::to_string(N), TablePrinter::num(Lock.OpsPerSec, 0),
-              TablePrinter::num(Rw.OpsPerSec, 0),
-              TablePrinter::num(Bravo.OpsPerSec, 0),
-              TablePrinter::num(So.OpsPerSec, 0),
-              TablePrinter::num(So.OpsPerSec / LockBase, 2),
-              TablePrinter::num(Rw.rmwPerOp(), 2),
-              TablePrinter::num(Bravo.rmwPerOp(), 2),
-              TablePrinter::num(So.rmwPerOp(), 2),
-              TablePrinter::percent(So.failureRatio(), 1)});
-    Json.add(VariantId, "Lock", N, Lock);
-    Json.add(VariantId, "RWLock", N, Rw);
-    Json.add(VariantId, "BravoRW", N, Bravo);
-    Json.add(VariantId, "SOLERO", N, So);
-  }
-  T.print();
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
@@ -81,9 +36,12 @@ int main(int Argc, char **Argv) {
   std::vector<int> Threads = Env.threadList({1, 2, 4, 8, 16});
   int Rounds = static_cast<int>(Env.Args.getInt("rounds", Env.Quick ? 1 : 3));
   JsonReport Json("fig12");
-  runVariant(Env, Json, "a", "(a) 0% writes", 0, false, Threads, Rounds);
-  runVariant(Env, Json, "b", "(b) 5% writes", 5, false, Threads, Rounds);
-  runVariant(Env, Json, "c", "(c) 5% writes, fine-grained (#maps == #threads)",
-             5, true, Threads, Rounds);
+  runScalingVariant<HashMapT>(Env, Json, "a", "(a) 0% writes", 0, false,
+                              Threads, Rounds);
+  runScalingVariant<HashMapT>(Env, Json, "b", "(b) 5% writes", 5, false,
+                              Threads, Rounds);
+  runScalingVariant<HashMapT>(
+      Env, Json, "c", "(c) 5% writes, fine-grained (#maps == #threads)", 5,
+      true, Threads, Rounds);
   return Json.write(Env.JsonPath) ? 0 : 1;
 }

@@ -33,8 +33,9 @@
 /// run under a seeded ChaosDirector fault campaign, with deadline
 /// cancellation, token-bucket GET retries, priority load shedding, the
 /// stuck-speculation watchdog, and the ShardedKv torture oracles
-/// (exclusion, pair conservation, churn bitmap, leak) asserted at the end.
-/// Exit code is nonzero on any oracle violation.
+/// (stress/KvOracle.h: exclusion, pair conservation, scan consistency,
+/// churn bitmap, leak, released shard locks) asserted throughout and at the
+/// end. Exit code is nonzero on any oracle violation.
 ///
 ///   kv_service --chaos --seed=7 --duration-ms=5000 --json=BENCH_chaos.json
 ///
@@ -50,6 +51,7 @@
 #include "resilience/ShedController.h"
 #include "resilience/Watchdog.h"
 #include "stress/ChaosDirector.h"
+#include "stress/KvOracle.h"
 #include "support/Backoff.h"
 #include "support/CacheLine.h"
 #include "support/Clock.h"
@@ -387,26 +389,14 @@ struct ChaosSoakParams {
   resilience::WatchdogConfig Wd;
 };
 
-// Chaos key namespaces, disjoint from the Zipfian prefill range and from
-// TortureRunner's 1<<48 pair base so oracles never collide.
-constexpr uint64_t ChaosPairKeyBase = 1ull << 47;
-constexpr uint64_t ChaosChurnKeyBase = 1ull << 40;
 constexpr unsigned ChaosChurnPerThread = 256;
 constexpr std::size_t RetryQueueCap = 64;
 
-uint64_t chaosPairKeyA(unsigned S) { return ChaosPairKeyBase | (2ull * S); }
-uint64_t chaosPairKeyB(unsigned S) { return chaosPairKeyA(S) + 1; }
-uint64_t chaosChurnKey(uint64_t T, unsigned I) {
-  return ChaosChurnKeyBase | (T << 20) | I;
-}
-
-/// One chaos worker's retry machinery and oracle evidence.
+/// One chaos worker's retry machinery and inline oracle verdicts.
 struct alignas(CacheLineSize) ChaosWorker {
-  ChaosWorker(const ChaosSoakParams &CS, uint64_t BackoffSeed,
-              unsigned Shards)
+  ChaosWorker(const ChaosSoakParams &CS, uint64_t BackoffSeed)
       : Budget(CS.RetryPerSec, CS.RetryBurst, nowNs()),
-        Backoff(64, 8192, JitterMode::FullJitter, BackoffSeed),
-        PairBumps(Shards, 0), ChurnBits((ChaosChurnPerThread + 63) / 64, 0) {}
+        Backoff(64, 8192, JitterMode::FullJitter, BackoffSeed) {}
 
   struct RetryEntry {
     uint64_t Key, AtNs;
@@ -439,9 +429,7 @@ struct alignas(CacheLineSize) ChaosWorker {
   uint64_t Retries = 0;  ///< granted + scheduled retries
   uint64_t RetryDenied = 0;
   uint64_t RetryDropped = 0;
-  uint64_t Violations = 0;         ///< inline oracle hits (exclusion, pair)
-  std::vector<uint64_t> PairBumps; ///< per-shard pair writes by this worker
-  std::vector<uint64_t> ChurnBits; ///< live-key bitmap (owner-exclusive)
+  uint64_t Violations = 0; ///< inline oracle hits (exclusion, pair, churn)
 };
 
 /// One fixed-rate soak of \p Policy under the seeded fault campaign.
@@ -452,13 +440,8 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   kv::ShardedKvStore<Policy> Store(*Env.Ctx, {P.Shards, 64});
   prefill(Store, P);
   const unsigned ShardCount = Store.shardCount();
-  // Seed the per-shard invariant pair A==B==0 and the exclusion tokens.
-  for (unsigned S = 0; S < ShardCount; ++S)
-    Store.writeShard(S, [&](auto &Tab) {
-      Tab.put(chaosPairKeyA(S), 0);
-      Tab.put(chaosPairKeyB(S), 0);
-    });
-  auto PairToken = std::make_unique<std::atomic<uint32_t>[]>(ShardCount);
+  const unsigned Threads = static_cast<unsigned>(P.Threads);
+  stress::KvOracle Oracle(Store, Threads, ChaosChurnPerThread);
 
   // The watchdog guards each shard's elision controller or BRAVO bias,
   // where the policy has one; every policy gets the stall detector.
@@ -494,12 +477,11 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   std::printf("\n--- %s (chaos soak) ---\n%s", Policy::name(),
               Director.scheduleString().c_str());
 
-  const unsigned Threads = static_cast<unsigned>(P.Threads);
   OpenLoop Driver(P, CS.RatePerSec, CS.CatchUpBurstMax);
   std::vector<ChaosWorker> Workers;
   Workers.reserve(Threads);
   for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back(CS, P.Seed + T, ShardCount);
+    Workers.emplace_back(CS, P.Seed + T);
 
   // Double-buffered per-thread window histograms: workers record into the
   // selected bank, the monitor flips the selector and reads/resets the
@@ -576,48 +558,23 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
       if (Pri == resilience::OpPriority::Get)
         W.offerRetry(Zipf.nextScrambled(Rng), CS.DeadlineNs);
     } else if (Roll < 2) {
-      // Pair bump: exclusive-writer oracle. The token would be seen
-      // nonzero by a second writer only if mutual exclusion broke.
+      // Pair bump under the exclusion token (KvOracle).
       unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
-      Dispatch(T, S, Due, [&] {
-        Store.writeShard(S, [&](auto &Tab) {
-          if (PairToken[S].exchange(1, std::memory_order_acq_rel) != 0)
-            ++W.Violations;
-          auto A = Tab.get(chaosPairKeyA(S));
-          uint64_t V = (A.Found ? A.Value : 0) + 1;
-          Tab.put(chaosPairKeyA(S), V);
-          Tab.put(chaosPairKeyB(S), V);
-          PairToken[S].store(0, std::memory_order_release);
-        });
-        ++W.PairBumps[S];
-      });
+      Dispatch(T, S, Due, [&] { W.Violations += !Oracle.bumpPair(S, T + 1); });
     } else if (Roll < 8) {
-      // Churn PUT or DELETE on an owner-exclusive key (bitmap oracle).
+      // Churn flip on an owner-exclusive key (bitmap oracle).
       unsigned I = static_cast<unsigned>(Rng.nextBounded(ChaosChurnPerThread));
-      uint64_t Key = chaosChurnKey(T, I);
-      uint64_t Bit = 1ull << (I % 64);
-      Dispatch(T, Store.shardOf(Key), Due, [&] {
-        if (Roll < 6) {
-          Store.put(Key, Rng.next() >> 1);
-          W.ChurnBits[I / 64] |= Bit;
-        } else {
-          Store.remove(Key);
-          W.ChurnBits[I / 64] &= ~Bit;
-        }
-      });
+      Dispatch(T, Store.shardOf(Oracle.churnKey(T, I)), Due,
+               [&] { W.Violations += !Oracle.flipChurn(T, I); });
     } else if (Roll < 12) {
-      // Scan + pair-read oracle: one read section must see A == B. The
-      // verdict is the closure's return value so policies that re-execute
-      // failed reads (SeqLock) stay side-effect free until validation.
+      // Pair read + scan consistency in one read section; the verdict is
+      // the closure's return value, so a re-executing policy (SeqLock)
+      // stays side-effect-free until validation.
       unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
       Dispatch(T, S, Due, [&] {
-        W.Violations +=
-            Store.readShard(S, [&](const auto &Tab, auto &) -> uint64_t {
-              auto A = Tab.get(chaosPairKeyA(S));
-              auto B = Tab.get(chaosPairKeyB(S));
-              (void)Tab.scan();
-              return A.Found && B.Found && A.Value == B.Value ? 0 : 1;
-            });
+        W.Violations += !Store.readShard(S, [&](const auto &Tab, auto &) {
+          return Oracle.pairHolds(Tab, S) && Oracle.scanHolds(Tab);
+        });
       });
     } else {
       uint64_t Key = Zipf.nextScrambled(Rng);
@@ -636,14 +593,7 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
 
   // --- End-of-run oracles (quiescent, so every check is exact) -----------
   uint64_t Violations = 0;
-  auto Violation = [&](const char *Fmt, unsigned long long A,
-                       unsigned long long B) {
-    std::fprintf(stderr, "chaos ORACLE VIOLATION: ");
-    std::fprintf(stderr, Fmt, A, B);
-    std::fprintf(stderr, "\n");
-    ++Violations;
-  };
-  ChaosWorker Sum(CS, 0, ShardCount); // totals over the workers
+  ChaosWorker Sum(CS, 0); // totals over the workers
   for (const ChaosWorker &W : Workers) {
     Violations += W.Violations;
     Sum.ShedCount += W.ShedCount;
@@ -651,52 +601,17 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
     Sum.Retries += W.Retries;
     Sum.RetryDenied += W.RetryDenied;
     Sum.RetryDropped += W.RetryDropped + W.RetryQ.size(); // + abandoned
-    for (unsigned S = 0; S < ShardCount; ++S)
-      Sum.PairBumps[S] += W.PairBumps[S];
   }
-  for (unsigned S = 0; S < ShardCount; ++S) {
-    if (PairToken[S].load(std::memory_order_relaxed) != 0)
-      Violation("shard %llu exclusion token still held (%llu)", S,
-                PairToken[S].load(std::memory_order_relaxed));
-    auto [A, B] = Store.readShard(S, [&](const auto &Tab, auto &) {
-      return std::pair(Tab.get(chaosPairKeyA(S)), Tab.get(chaosPairKeyB(S)));
-    });
-    if (!A.Found || !B.Found || A.Value != B.Value)
-      Violation("shard %llu pair keys torn or missing (A=%llu)", S, A.Value);
-    else if (A.Value != Sum.PairBumps[S])
-      Violation("shard %llu pair count != %llu writes (lost update)", S,
-                Sum.PairBumps[S]);
-  }
-  uint64_t ChurnLive = 0;
-  for (unsigned T = 0; T < Threads; ++T) {
-    const ChaosWorker &W = Workers[T];
-    for (unsigned I = 0; I < ChaosChurnPerThread; ++I) {
-      bool Bit = (W.ChurnBits[I / 64] >> (I % 64)) & 1;
-      ChurnLive += Bit ? 1 : 0;
-      bool Present = Store.get(chaosChurnKey(T, I)).has_value();
-      if (Bit != Present)
-        Violation("churn key (worker %llu, idx %llu) bitmap mismatch",
-                  T, I);
-    }
-  }
-  uint64_t Expected = P.Keys + 2ull * ShardCount + ChurnLive;
-  if (Store.size() != Expected)
-    Violation("size conservation: store has %llu entries, expected %llu",
-              Store.size(), Expected);
-  if (!Store.quiesce()) {
-    uint64_t Cells = 0, Live = 0;
-    for (unsigned S = 0; S < ShardCount; ++S) {
-      Cells += Store.shardTable(S).poolLiveCells();
-      Live += Store.shardTable(S).liveCount();
-    }
-    Violation("leak oracle: pool live cells != live entries (%llu/%llu)",
-              Cells, Live);
-  }
+  std::vector<std::string> Failures = Oracle.verify(P.Keys);
   uint64_t Attempts = CorruptAttempts.load(std::memory_order_relaxed);
   uint64_t Rejected = CorruptRejected.load(std::memory_order_relaxed);
   if (Rejected != Attempts)
-    Violation("corrupt warm-image restore was accepted (%llu of %llu)",
-              Attempts - Rejected, Attempts);
+    Failures.push_back("corrupt warm-image restore was accepted (" +
+                       std::to_string(Attempts - Rejected) + " of " +
+                       std::to_string(Attempts) + ")");
+  for (const std::string &F : Failures)
+    std::fprintf(stderr, "chaos ORACLE VIOLATION: %s\n", F.c_str());
+  Violations += Failures.size();
 
   // --- Report: one name/value list feeds stdout and the JSON row --------
   for (const auto &Diag : Wd.diagnostics())

@@ -7,21 +7,18 @@
 #include "stress/TortureRunner.h"
 
 #include <atomic>
-#include <bit>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/SoleroLock.h"
 #include "kv/ShardedKvStore.h"
-#include "locks/BravoRwLock.h"
-#include "locks/ReadWriteLock.h"
-#include "locks/SeqLock.h"
-#include "locks/TasukiLock.h"
 #include "runtime/SharedField.h"
+#include "stress/KvOracle.h"
 #include "support/Barrier.h"
 #include "support/Rng.h"
 #include "support/Stopwatch.h"
+#include "workloads/LockPolicies.h"
 
 using namespace solero;
 using namespace solero::stress;
@@ -33,15 +30,6 @@ namespace {
 /// and be absorbed as a retry out of an inconsistent one.
 struct GuestBoom {};
 
-/// Shared torture state: the (A, -A) invariant pair plus the mutual
-/// exclusion token. Writers keep B == -A at all times *as observed under
-/// the lock*; an optimistic reader seeing A != -B read a torn snapshot.
-struct TortureState {
-  SharedField<int64_t> A{0};
-  SharedField<int64_t> B{0};
-  std::atomic<uint64_t> Token{0};
-};
-
 /// Per-thread oracle tallies, merged after the join.
 struct WorkerTally {
   uint64_t Reads = 0;
@@ -51,148 +39,8 @@ struct WorkerTally {
   uint64_t TornSnapshots = 0;
   uint64_t WatchdogTrips = 0;
   uint64_t MaxOpMicros = 0;
-  uint64_t Entries = 0;
-  uint64_t Exits = 0;
-  /// ShardedKv only: a churn put/remove/get on a key owned exclusively by
-  /// this thread disagreed with the thread's own presence bitmap.
+  /// ShardedKv only: a churn op disagreed with its owner's bitmap.
   uint64_t ChurnMismatches = 0;
-};
-
-/// The write-section body shared by every protocol adapter: claim the
-/// exclusion token, mutate the invariant pair, release the token. Any
-/// token mismatch means two threads were inside a "mutual exclusion"
-/// section at once.
-void writeBody(TortureState &S, uint64_t Tag, WorkerTally &T) {
-  ++T.Entries;
-  if (S.Token.exchange(Tag, std::memory_order_acq_rel) != 0)
-    ++T.ExclusionViolations;
-  int64_t V = S.A.read() + 1;
-  S.A.write(V);
-  S.B.write(-V);
-  if (S.Token.exchange(0, std::memory_order_acq_rel) != Tag)
-    ++T.ExclusionViolations;
-  ++T.Exits;
-}
-
-/// The read-section body: snapshot the pair (optionally completing with a
-/// guest exception). Consistency is judged by the caller after the
-/// protocol has validated the section.
-std::pair<int64_t, int64_t> readBody(TortureState &S, bool Throw) {
-  std::pair<int64_t, int64_t> P(S.A.read(), S.B.read());
-  if (Throw)
-    throw GuestBoom{};
-  return P;
-}
-
-// --- Protocol adapters ---------------------------------------------------
-// A thin uniform shape (read / write / finalStateClean) over the four
-// protocols so the worker loop is written once. Deliberately local: the
-// torture harness must not depend on the workload layer it is meant to
-// out-stress.
-
-class SoleroAdapter {
-public:
-  explicit SoleroAdapter(RuntimeContext &Ctx) : L(Ctx) {}
-
-  template <typename Fn> auto read(Fn &&F) {
-    return L.synchronizedReadOnly(H, [&](ReadGuard &) { return F(); });
-  }
-  template <typename Fn> void write(Fn &&F) {
-    L.synchronizedWrite(H, [&] { F(); });
-  }
-  bool finalStateClean() { return lockword::soleroIsFree(H.word().load()); }
-  static constexpr bool HasProtocolCounters = true;
-  static constexpr bool HasElision = true;
-
-private:
-  SoleroLock L;
-  ObjectHeader H;
-};
-
-class TasukiAdapter {
-public:
-  explicit TasukiAdapter(RuntimeContext &Ctx) : L(Ctx) {}
-
-  template <typename Fn> auto read(Fn &&F) {
-    return L.synchronizedReadOnly(H, [&](ReadGuard &) { return F(); });
-  }
-  template <typename Fn> void write(Fn &&F) {
-    L.synchronizedWrite(H, [&] { F(); });
-  }
-  bool finalStateClean() { return H.word().load() == 0; }
-  static constexpr bool HasProtocolCounters = true;
-  static constexpr bool HasElision = false;
-
-private:
-  TasukiLock L;
-  ObjectHeader H;
-};
-
-class RwAdapter {
-public:
-  explicit RwAdapter(RuntimeContext &Ctx) : L(Ctx) {}
-
-  template <typename Fn> auto read(Fn &&F) {
-    return L.synchronizedReadOnly([&](ReadGuard &) { return F(); });
-  }
-  template <typename Fn> void write(Fn &&F) {
-    L.synchronizedWrite([&] { F(); });
-  }
-  bool finalStateClean() { return L.readerCount() == 0; }
-  static constexpr bool HasProtocolCounters = true;
-  static constexpr bool HasElision = false;
-
-private:
-  ReadWriteLock L;
-};
-
-class SeqAdapter {
-public:
-  explicit SeqAdapter(RuntimeContext &) {}
-
-  template <typename Fn> auto read(Fn &&F) {
-    // readProtected retries internally, so a guest throw out of a torn
-    // execution must be absorbed here exactly like the elision engine
-    // absorbs it: genuine iff the snapshot was consistent.
-    for (;;) {
-      uint64_t V = L.readBegin();
-      try {
-        auto R = F();
-        if (!L.readRetry(V))
-          return R;
-      } catch (GuestBoom &) {
-        if (!L.readRetry(V))
-          throw;
-      }
-    }
-  }
-  template <typename Fn> void write(Fn &&F) { L.writeProtected(F); }
-  bool finalStateClean() { return (L.value() & 1) == 0; }
-  static constexpr bool HasProtocolCounters = false;
-  static constexpr bool HasElision = false;
-
-private:
-  SeqLock L;
-};
-
-class BravoAdapter {
-public:
-  explicit BravoAdapter(RuntimeContext &Ctx) : L(Ctx) {}
-
-  template <typename Fn> auto read(Fn &&F) {
-    return L.synchronizedReadOnly([&](ReadGuard &) { return F(); });
-  }
-  template <typename Fn> void write(Fn &&F) {
-    L.synchronizedWrite([&] { F(); });
-  }
-  /// Clean means no indication left behind in either layer: the biased
-  /// visible-readers slots *and* the underlying centralized count.
-  bool finalStateClean() { return L.readerCount() == 0; }
-  static constexpr bool HasProtocolCounters = true;
-  static constexpr bool HasElision = false;
-
-private:
-  BravoRwLock L;
 };
 
 /// The async-event storm: hammers every thread's poll flag at the
@@ -222,18 +70,20 @@ private:
   std::thread Worker;
 };
 
-template <typename Adapter>
-TortureReport runWithAdapter(const TortureConfig &C) {
+/// The one torture worker loop. Runs C.Threads workers, each calling
+/// \p Step(Thread, Rng, Tally) C.IterationsPerThread times (one op per
+/// call, which bumps Tally.Reads or Tally.Writes), under the perturber and
+/// the async storm, with a per-op watchdog. Then merges the tallies and
+/// checks the protocol counters of \p Policy: entries == issued ops
+/// (SeqLock keeps no counters) and attempts == successes + failures.
+/// Construct the locks before calling, so setup sections stay uncounted.
+template <typename Policy, typename StepFn>
+TortureReport runWorkers(const TortureConfig &C, StepFn Step) {
   TortureReport R;
-  RuntimeContext Ctx(C.Runtime);
-  Adapter A(Ctx);
-  TortureState S;
-
   const std::chrono::microseconds Budget =
       C.ParkLatencyBudget.count() > 0 ? C.ParkLatencyBudget
                                       : C.Runtime.ParkMicros;
-  const uint64_t BudgetNs =
-      static_cast<uint64_t>(Budget.count()) * 1000u;
+  const uint64_t BudgetNs = static_cast<uint64_t>(Budget.count()) * 1000u;
 
   SchedulePerturber::Options PO = C.Perturbation;
   PO.Seed = C.Seed;
@@ -249,34 +99,14 @@ TortureReport runWithAdapter(const TortureConfig &C) {
   Workers.reserve(static_cast<std::size_t>(C.Threads));
   {
     AsyncStorm Storm(C.AsyncStormPeriod);
-    for (int T = 0; T < C.Threads; ++T)
+    for (unsigned T = 0; T < static_cast<unsigned>(C.Threads); ++T)
       Workers.emplace_back([&, T] {
-        WorkerTally &Tally = Tallies[static_cast<std::size_t>(T)];
-        Xoshiro256StarStar Rng(C.Seed * 0x9e3779b97f4a7c15ULL +
-                               static_cast<uint64_t>(T) + 1);
-        const uint64_t Tag = static_cast<uint64_t>(T) + 1;
+        WorkerTally &Tally = Tallies[T];
+        Xoshiro256StarStar Rng(C.Seed * 0x9e3779b97f4a7c15ULL + T + 1);
         Start.arriveAndWait();
         for (uint64_t I = 0; I < C.IterationsPerThread; ++I) {
           Stopwatch Op;
-          if (Rng.nextPercent(static_cast<unsigned>(C.WritePercent))) {
-            A.write([&] { writeBody(S, Tag, Tally); });
-            ++Tally.Writes;
-          } else {
-            bool Throw =
-                Rng.nextPercent(static_cast<unsigned>(C.GuestThrowPercent));
-            ++Tally.Entries;
-            try {
-              auto P = A.read([&] { return readBody(S, Throw); });
-              if (P.first != -P.second)
-                ++Tally.TornSnapshots;
-            } catch (GuestBoom &) {
-              // Genuine guest exception: the protocol validated the
-              // section's reads before letting it escape.
-              ++Tally.GuestThrows;
-            }
-            ++Tally.Exits;
-            ++Tally.Reads;
-          }
+          Step(T, Rng, Tally);
           uint64_t Ns = Op.elapsedNs();
           if (Ns / 1000u > Tally.MaxOpMicros)
             Tally.MaxOpMicros = Ns / 1000u;
@@ -302,299 +132,18 @@ TortureReport runWithAdapter(const TortureConfig &C) {
     R.WatchdogTrips += T.WatchdogTrips;
     if (T.MaxOpMicros > R.MaxOpMicros)
       R.MaxOpMicros = T.MaxOpMicros;
-    if (T.Entries != T.Exits) {
-      R.CountersConserved = false;
-      R.Failure = "section entries != exits";
-    }
-  }
-
-  // Data conservation: every write incremented A exactly once.
-  if (S.A.read() != static_cast<int64_t>(R.Writes) ||
-      S.B.read() != -static_cast<int64_t>(R.Writes)) {
-    R.CountersConserved = false;
-    R.Failure = "lost or duplicated write (A != total writes)";
-  }
-
-  if constexpr (Adapter::HasProtocolCounters) {
-    ProtocolCounters After = ThreadRegistry::instance().totalCounters();
-    uint64_t WriteEntries = After.WriteEntries - Before.WriteEntries;
-    uint64_t ReadEntries = After.ReadOnlyEntries - Before.ReadOnlyEntries;
-    if (WriteEntries != R.Writes || ReadEntries != R.Reads) {
-      R.CountersConserved = false;
-      R.Failure = "entry counters != issued operations";
-    }
-    if constexpr (Adapter::HasElision) {
-      uint64_t Attempts = After.ElisionAttempts - Before.ElisionAttempts;
-      uint64_t Successes = After.ElisionSuccesses - Before.ElisionSuccesses;
-      uint64_t Failures = After.ElisionFailures - Before.ElisionFailures;
-      if (Attempts != Successes + Failures) {
-        R.CountersConserved = false;
-        R.Failure = "attempts != successes + failures";
-      }
-    }
-  }
-
-  if (!A.finalStateClean()) {
-    R.FinalStateClean = false;
-    if (R.Failure.empty())
-      R.Failure = "lock not released/deflated after the run";
-  }
-  return R;
-}
-
-// --- ShardedKv torture ---------------------------------------------------
-// Drives kv/ShardedKvStore.h instead of a bare lock: four shards at the
-// minimum table capacity so churn forces resizes while readers probe, with
-// the SOLERO protocol adapted locally (same layering rule as the adapters
-// above: the harness builds its own policy rather than importing the
-// workload layer's).
-
-/// SOLERO as a shard policy, local to the torture harness.
-class KvSoleroShardPolicy {
-public:
-  explicit KvSoleroShardPolicy(RuntimeContext &Ctx) : L(Ctx) {}
-
-  template <typename Fn> decltype(auto) read(Fn &&F) {
-    return L.synchronizedReadOnly(H, std::forward<Fn>(F));
-  }
-  template <typename Fn> decltype(auto) write(Fn &&F) {
-    return L.synchronizedWrite(H, std::forward<Fn>(F));
-  }
-  static const char *name() { return "SOLERO"; }
-
-  bool free() { return lockword::soleroIsFree(H.word().load()); }
-
-private:
-  SoleroLock L;
-  ObjectHeader H;
-};
-
-/// Per-shard invariant state: the exclusion token for the pair-bump write
-/// section and the authoritative bump count (incremented while the token
-/// is held, so it is serialized with the pair itself).
-struct KvShardOracle {
-  std::atomic<uint64_t> Token{0};
-  std::atomic<uint64_t> Bumps{0};
-};
-
-/// One validated read of a shard's (A, B) invariant pair.
-struct KvPairSnapshot {
-  uint64_t A = 0;
-  uint64_t B = 0;
-  bool BothFound = false;
-};
-
-/// Reserved pair keys live far above the churn-key space (Tag << 32 | Idx
-/// with small tags) and are always accessed through readShard/writeShard
-/// on their home shard, never hash-routed.
-constexpr uint64_t KvPairKeyBase = 1ull << 48;
-inline uint64_t kvPairKeyA(unsigned Shard) {
-  return KvPairKeyBase + 2ull * Shard;
-}
-inline uint64_t kvPairKeyB(unsigned Shard) {
-  return KvPairKeyBase + 2ull * Shard + 1;
-}
-
-TortureReport runShardedKvTorture(const TortureConfig &C) {
-  // Small shard count and the minimum table capacity: the default churn
-  // universe (48 keys/thread) overflows 16 slots many times over, so
-  // resizes and tombstone purges happen continuously under the readers.
-  constexpr unsigned NumShards = 4;
-  constexpr unsigned ChurnKeysPerThread = 48;
-
-  TortureReport R;
-  RuntimeContext Ctx(C.Runtime);
-  kv::ShardedKvStore<KvSoleroShardPolicy> Store(
-      Ctx, kv::KvStoreConfig{NumShards, /*InitialShardCapacity=*/16});
-  std::vector<KvShardOracle> Oracles(NumShards);
-
-  // Prefill each shard's invariant pair at zero (one write section per
-  // shard, issued before the counter snapshot below).
-  for (unsigned S = 0; S < NumShards; ++S)
-    Store.writeShard(S, [&](kv::ShardTable &T) {
-      T.put(kvPairKeyA(S), 0);
-      T.put(kvPairKeyB(S), 0);
-    });
-
-  const std::chrono::microseconds Budget =
-      C.ParkLatencyBudget.count() > 0 ? C.ParkLatencyBudget
-                                      : C.Runtime.ParkMicros;
-  const uint64_t BudgetNs = static_cast<uint64_t>(Budget.count()) * 1000u;
-
-  SchedulePerturber::Options PO = C.Perturbation;
-  PO.Seed = C.Seed;
-  SchedulePerturber Perturber(PO);
-  if (C.Perturb)
-    Perturber.arm();
-
-  ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
-
-  std::vector<WorkerTally> Tallies(static_cast<std::size_t>(C.Threads));
-  std::vector<uint64_t> Bitmaps(static_cast<std::size_t>(C.Threads), 0);
-  SpinBarrier Start(static_cast<uint32_t>(C.Threads) + 1);
-  std::vector<std::thread> Workers;
-  Workers.reserve(static_cast<std::size_t>(C.Threads));
-  {
-    AsyncStorm Storm(C.AsyncStormPeriod);
-    for (int T = 0; T < C.Threads; ++T)
-      Workers.emplace_back([&, T] {
-        WorkerTally &Tally = Tallies[static_cast<std::size_t>(T)];
-        uint64_t &Bitmap = Bitmaps[static_cast<std::size_t>(T)];
-        Xoshiro256StarStar Rng(C.Seed * 0x9e3779b97f4a7c15ULL +
-                               static_cast<uint64_t>(T) + 1);
-        const uint64_t Tag = static_cast<uint64_t>(T) + 1;
-        Start.arriveAndWait();
-        for (uint64_t I = 0; I < C.IterationsPerThread; ++I) {
-          Stopwatch Op;
-          unsigned S = static_cast<unsigned>(Rng.nextBounded(NumShards));
-          if (Rng.nextPercent(static_cast<unsigned>(C.WritePercent))) {
-            ++Tally.Entries;
-            if (Rng.nextPercent(50)) {
-              // Pair bump: one write section keeps B == -A (mod 2^64).
-              KvShardOracle &O = Oracles[S];
-              Store.writeShard(S, [&](kv::ShardTable &Table) {
-                if (O.Token.exchange(Tag, std::memory_order_acq_rel) != 0)
-                  ++Tally.ExclusionViolations;
-                uint64_t V =
-                    O.Bumps.fetch_add(1, std::memory_order_relaxed) + 1;
-                Table.put(kvPairKeyA(S), V);
-                Table.put(kvPairKeyB(S), 0 - V);
-                if (O.Token.exchange(0, std::memory_order_acq_rel) != Tag)
-                  ++Tally.ExclusionViolations;
-              });
-            } else {
-              // Churn flip on a key only this thread mutates: the return
-              // value must agree with the thread's own bitmap.
-              unsigned Idx =
-                  static_cast<unsigned>(Rng.nextBounded(ChurnKeysPerThread));
-              uint64_t Key = (Tag << 32) | Idx;
-              bool Present = (Bitmap >> Idx) & 1;
-              bool Changed = Present ? Store.remove(Key)
-                                     : Store.put(Key, Key);
-              if (!Changed)
-                ++Tally.ChurnMismatches;
-              Bitmap ^= 1ull << Idx;
-            }
-            ++Tally.Exits;
-            ++Tally.Writes;
-          } else {
-            uint64_t Kind = Rng.nextBounded(3);
-            bool Throw =
-                Kind == 0 &&
-                Rng.nextPercent(static_cast<unsigned>(C.GuestThrowPercent));
-            ++Tally.Entries;
-            try {
-              if (Kind == 0) {
-                // Invariant-pair read: one validated section must never
-                // see A + B != 0.
-                KvPairSnapshot P = Store.readShard(
-                    S, [&](const kv::ShardTable &Table, ReadGuard &) {
-                      KvPairSnapshot Snap;
-                      kv::ShardTable::Lookup A = Table.get(kvPairKeyA(S));
-                      kv::ShardTable::Lookup B = Table.get(kvPairKeyB(S));
-                      Snap.A = A.Value;
-                      Snap.B = B.Value;
-                      Snap.BothFound = A.Found && B.Found;
-                      if (Throw)
-                        throw GuestBoom{};
-                      return Snap;
-                    });
-                if (!P.BothFound || P.A + P.B != 0)
-                  ++Tally.TornSnapshots;
-              } else if (Kind == 1) {
-                // Scan consistency: a full pass inside one validated
-                // section must count exactly liveCount() entries.
-                auto P = Store.readShard(
-                    S, [](const kv::ShardTable &Table, ReadGuard &) {
-                      kv::ShardTable::ScanStats St = Table.scan();
-                      return std::pair<uint64_t, uint64_t>(St.LiveEntries,
-                                                           Table.liveCount());
-                    });
-                if (P.first != P.second)
-                  ++Tally.TornSnapshots;
-              } else {
-                // Own-key GET: presence and payload must match the
-                // bitmap (no other thread touches this key).
-                unsigned Idx = static_cast<unsigned>(
-                    Rng.nextBounded(ChurnKeysPerThread));
-                uint64_t Key = (Tag << 32) | Idx;
-                bool Present = (Bitmap >> Idx) & 1;
-                auto V = Store.get(Key);
-                if (V.has_value() != Present || (Present && *V != Key))
-                  ++Tally.ChurnMismatches;
-              }
-            } catch (GuestBoom &) {
-              ++Tally.GuestThrows;
-            }
-            ++Tally.Exits;
-            ++Tally.Reads;
-          }
-          uint64_t Ns = Op.elapsedNs();
-          if (Ns / 1000u > Tally.MaxOpMicros)
-            Tally.MaxOpMicros = Ns / 1000u;
-          if (Ns >= BudgetNs)
-            ++Tally.WatchdogTrips;
-        }
-      });
-    Start.arriveAndWait();
-    for (auto &W : Workers)
-      W.join();
-  }
-  Perturber.disarm();
-  R.InjectionFirings = Perturber.firings();
-  R.WatchdogEnforced = C.EnforceWatchdog;
-
-  uint64_t ExpectedLive = 2 * NumShards;
-  for (std::size_t T = 0; T < Tallies.size(); ++T) {
-    const WorkerTally &Tally = Tallies[T];
-    R.Reads += Tally.Reads;
-    R.Writes += Tally.Writes;
-    R.GuestThrows += Tally.GuestThrows;
-    R.ExclusionViolations += Tally.ExclusionViolations;
-    R.TornSnapshots += Tally.TornSnapshots;
-    R.WatchdogTrips += Tally.WatchdogTrips;
-    if (Tally.MaxOpMicros > R.MaxOpMicros)
-      R.MaxOpMicros = Tally.MaxOpMicros;
-    if (Tally.Entries != Tally.Exits) {
-      R.CountersConserved = false;
-      R.Failure = "section entries != exits";
-    }
-    if (Tally.ChurnMismatches != 0) {
+    if (T.ChurnMismatches != 0) {
       R.CountersConserved = false;
       R.Failure = "churn op disagreed with its owner's bitmap";
     }
-    ExpectedLive += static_cast<uint64_t>(std::popcount(Bitmaps[T]));
   }
 
-  // Cross-shard conservation: every pair bump landed exactly once, B
-  // mirrors A, and nobody left an exclusion token behind.
-  for (unsigned S = 0; S < NumShards; ++S) {
-    const kv::ShardTable &Table = Store.shardTable(S);
-    kv::ShardTable::Lookup A = Table.get(kvPairKeyA(S));
-    kv::ShardTable::Lookup B = Table.get(kvPairKeyB(S));
-    uint64_t Bumps = Oracles[S].Bumps.load(std::memory_order_relaxed);
-    if (!A.Found || !B.Found || A.Value != Bumps || B.Value != 0 - Bumps) {
-      R.CountersConserved = false;
-      R.Failure = "lost or duplicated pair bump (A != shard bumps)";
-    }
-    if (Oracles[S].Token.load(std::memory_order_relaxed) != 0) {
-      R.CountersConserved = false;
-      R.Failure = "exclusion token left claimed";
-    }
-  }
-
-  // Whole-store conservation: live entries must equal the pairs plus the
-  // churn keys each owner believes are present.
-  if (Store.size() != ExpectedLive) {
-    R.CountersConserved = false;
-    R.Failure = "store live count != pairs + owned churn keys";
-  }
-
-  // Protocol counters: every issued op entered exactly one section, and
-  // the elision ledger balances.
+  // Every issued op entered exactly one section, and the elision ledger
+  // balances (trivially, for protocols that never elide).
   ProtocolCounters After = ThreadRegistry::instance().totalCounters();
-  if (After.WriteEntries - Before.WriteEntries != R.Writes ||
-      After.ReadOnlyEntries - Before.ReadOnlyEntries != R.Reads) {
+  if (!std::is_same_v<Policy, SeqLockPolicy> &&
+      (After.WriteEntries - Before.WriteEntries != R.Writes ||
+       After.ReadOnlyEntries - Before.ReadOnlyEntries != R.Reads)) {
     R.CountersConserved = false;
     R.Failure = "entry counters != issued operations";
   }
@@ -604,20 +153,128 @@ TortureReport runShardedKvTorture(const TortureConfig &C) {
     R.CountersConserved = false;
     R.Failure = "attempts != successes + failures";
   }
+  return R;
+}
 
-  // Final state: epoch drained, every pool cell accounted for (the
-  // tombstone-reuse leak oracle), every shard lock free.
-  if (!Store.quiesce()) {
+// --- Bare-lock mix ---------------------------------------------------------
+// One lock guards an (A, B) field pair. Writers keep B == -A at all times
+// *as observed under the lock* and claim an exclusion token inside the
+// section; an optimistic reader seeing A != -B read a torn snapshot.
+
+template <typename Policy> TortureReport runBareLock(const TortureConfig &C) {
+  RuntimeContext Ctx(C.Runtime);
+  Policy Lock(Ctx);
+  SharedField<int64_t> A{0}, B{0};
+  std::atomic<uint64_t> Token{0};
+
+  auto Step = [&](unsigned T, Xoshiro256StarStar &Rng, WorkerTally &Tally) {
+    const uint64_t Tag = T + 1;
+    if (Rng.nextPercent(static_cast<unsigned>(C.WritePercent))) {
+      Lock.write([&] {
+        if (Token.exchange(Tag, std::memory_order_acq_rel) != 0)
+          ++Tally.ExclusionViolations;
+        int64_t V = A.read() + 1;
+        A.write(V);
+        B.write(-V);
+        if (Token.exchange(0, std::memory_order_acq_rel) != Tag)
+          ++Tally.ExclusionViolations;
+      });
+      ++Tally.Writes;
+      return;
+    }
+    bool Throw = Rng.nextPercent(static_cast<unsigned>(C.GuestThrowPercent));
+    try {
+      auto P = Lock.read([&](ReadGuard &) {
+        std::pair<int64_t, int64_t> Snap(A.read(), B.read());
+        if (Throw)
+          throw GuestBoom{};
+        return Snap;
+      });
+      if (P.first != -P.second)
+        ++Tally.TornSnapshots;
+    } catch (GuestBoom &) {
+      // Genuine guest exception: the protocol validated the section's
+      // reads before letting it escape.
+      ++Tally.GuestThrows;
+    }
+    ++Tally.Reads;
+  };
+  TortureReport R = runWorkers<Policy>(C, Step);
+
+  // Data conservation: every write incremented A exactly once.
+  if (A.read() != static_cast<int64_t>(R.Writes) ||
+      B.read() != -static_cast<int64_t>(R.Writes)) {
+    R.CountersConserved = false;
+    R.Failure = "lost or duplicated write (A != total writes)";
+  }
+  if (!Lock.released()) {
     R.FinalStateClean = false;
     if (R.Failure.empty())
-      R.Failure = "pool cells != live entries after drain";
+      R.Failure = "lock not released/deflated after the run";
   }
-  for (unsigned S = 0; S < NumShards; ++S)
-    if (!Store.shardPolicy(S).free()) {
-      R.FinalStateClean = false;
-      if (R.Failure.empty())
-        R.Failure = "shard lock not released/deflated after the run";
+  return R;
+}
+
+// --- ShardedKv mix ---------------------------------------------------------
+// Drives kv/ShardedKvStore.h under SOLERO shard locks: four shards at the
+// minimum table capacity, so the default churn universe (48 keys/thread)
+// overflows 16 slots many times over and resizes and tombstone purges
+// happen continuously under the readers. The invariants are KvOracle's.
+
+TortureReport runShardedKv(const TortureConfig &C) {
+  constexpr unsigned ChurnKeysPerThread = 48;
+  RuntimeContext Ctx(C.Runtime);
+  kv::ShardedKvStore<SoleroPolicy> Store(
+      Ctx, kv::KvStoreConfig{4, /*InitialShardCapacity=*/16});
+  KvOracle Oracle(Store, static_cast<unsigned>(C.Threads), ChurnKeysPerThread);
+
+  auto Step = [&](unsigned T, Xoshiro256StarStar &Rng, WorkerTally &Tally) {
+    unsigned S = static_cast<unsigned>(Rng.nextBounded(Store.shardCount()));
+    unsigned Idx = static_cast<unsigned>(Rng.nextBounded(ChurnKeysPerThread));
+    if (Rng.nextPercent(static_cast<unsigned>(C.WritePercent))) {
+      if (Rng.nextPercent(50))
+        Tally.ExclusionViolations += !Oracle.bumpPair(S, T + 1);
+      else
+        Tally.ChurnMismatches += !Oracle.flipChurn(T, Idx);
+      ++Tally.Writes;
+      return;
     }
+    uint64_t Kind = Rng.nextBounded(3);
+    bool Throw =
+        Kind == 0 &&
+        Rng.nextPercent(static_cast<unsigned>(C.GuestThrowPercent));
+    bool Ok = true;
+    try {
+      if (Kind == 0) {
+        // Invariant-pair read: one validated section must never see
+        // A + B != 0.
+        Ok = Store.readShard(S, [&](const kv::ShardTable &Table, ReadGuard &) {
+          bool Pair = Oracle.pairHolds(Table, S);
+          if (Throw)
+            throw GuestBoom{};
+          return Pair;
+        });
+      } else if (Kind == 1) {
+        Ok = Store.readShard(S, [&](const kv::ShardTable &Table, ReadGuard &) {
+          return Oracle.scanHolds(Table);
+        });
+      } else {
+        Tally.ChurnMismatches += !Oracle.getOwnKey(T, Idx);
+      }
+    } catch (GuestBoom &) {
+      ++Tally.GuestThrows;
+    }
+    Tally.TornSnapshots += !Ok;
+    ++Tally.Reads;
+  };
+  TortureReport R = runWorkers<SoleroPolicy>(C, Step);
+
+  std::vector<std::string> Failures = Oracle.verify(/*BaseLive=*/0);
+  if (!Failures.empty()) {
+    R.FinalStateClean = false;
+    if (R.Failure.empty())
+      R.Failure = Failures.front();
+  }
   return R;
 }
 
@@ -626,15 +283,15 @@ TortureReport runShardedKvTorture(const TortureConfig &C) {
 const char *solero::stress::tortureProtocolName(TortureProtocol P) {
   switch (P) {
   case TortureProtocol::Solero:
-    return "SOLERO";
+    return SoleroPolicy::name();
   case TortureProtocol::Tasuki:
-    return "Lock";
+    return TasukiPolicy::name();
   case TortureProtocol::SeqLock:
-    return "SeqLock";
+    return SeqLockPolicy::name();
   case TortureProtocol::RWLock:
-    return "RWLock";
+    return RwPolicy::name();
   case TortureProtocol::BravoRW:
-    return "BravoRW";
+    return BravoRwPolicy::name();
   case TortureProtocol::ShardedKv:
     return "ShardedKv";
   }
@@ -667,17 +324,17 @@ std::string TortureReport::summary() const {
 TortureReport solero::stress::runTorture(const TortureConfig &Config) {
   switch (Config.Protocol) {
   case TortureProtocol::Solero:
-    return runWithAdapter<SoleroAdapter>(Config);
+    return runBareLock<SoleroPolicy>(Config);
   case TortureProtocol::Tasuki:
-    return runWithAdapter<TasukiAdapter>(Config);
+    return runBareLock<TasukiPolicy>(Config);
   case TortureProtocol::SeqLock:
-    return runWithAdapter<SeqAdapter>(Config);
+    return runBareLock<SeqLockPolicy>(Config);
   case TortureProtocol::RWLock:
-    return runWithAdapter<RwAdapter>(Config);
+    return runBareLock<RwPolicy>(Config);
   case TortureProtocol::BravoRW:
-    return runWithAdapter<BravoAdapter>(Config);
+    return runBareLock<BravoRwPolicy>(Config);
   case TortureProtocol::ShardedKv:
-    return runShardedKvTorture(Config);
+    return runShardedKv(Config);
   }
   return TortureReport{};
 }

@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives one of the lock protocols (SOLERO, Tasuki, seqlock, RW, BRAVO)
-/// through an adversarial mixed read/write workload under seeded schedule
-/// perturbation (stress/SchedulePerturber.h) and an optional async-event
-/// storm, and checks invariant oracles:
+/// Drives one of the shipped lock policies (workloads/LockPolicies.h:
+/// SOLERO, Lock, SeqLock, RWLock, BravoRW), or a kv::ShardedKvStore under
+/// SOLERO shard locks, through an adversarial mixed read/write workload
+/// under seeded schedule perturbation (stress/SchedulePerturber.h) and an
+/// optional async-event storm, and checks invariant oracles:
 ///
 ///   - mutual exclusion: a token exchanged at write-section entry/exit
 ///     must never find another owner inside;
 ///   - snapshot consistency: elided/optimistic reads of the (A, -A) field
 ///     pair must never observe a torn pair;
 ///   - counter conservation: ElisionAttempts == ElisionSuccesses +
-///     ElisionFailures, and entry counters match issued operations
-///     (section entries == exits is implied by both sides being counted);
+///     ElisionFailures, and entry counters match issued operations;
+///   - final state: every lock reports released() after the run;
 ///   - park-latency watchdog: any single operation stalled for a full
 ///     ParkMicros is the lost-wakeup signature (a parked FLC contender
 ///     nobody notified, rescued only by the timed-park backstop) and is
@@ -42,10 +43,10 @@ namespace solero {
 namespace stress {
 
 /// Which lock protocol the torture run drives. ShardedKv is not a bare
-/// protocol but the kv/ShardedKvStore.h subsystem under its SOLERO shard
-/// policy: the same oracles (exclusion token, torn pair, conservation)
-/// plus cross-shard counter conservation, scan consistency, and the
-/// epoch/pool leak check.
+/// protocol but the kv/ShardedKvStore.h subsystem under SOLERO shard
+/// locks, checked by stress/KvOracle.h: the same oracles (exclusion token,
+/// torn pair, conservation) plus cross-shard counter conservation, scan
+/// consistency, owner-bitmap churn keys, and the epoch/pool leak check.
 enum class TortureProtocol {
   Solero,
   Tasuki,

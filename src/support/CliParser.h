@@ -7,7 +7,8 @@
 /// \file
 /// Minimal `--flag=value` / `--switch` parser shared by the bench and
 /// example binaries. Values require the `=` form; a bare `--switch` is a
-/// boolean true.
+/// boolean true. A positional argument, or a numeric flag whose value does
+/// not parse in full, prints an error naming it and exits with status 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,16 +39,12 @@ public:
   double getDouble(const std::string &Name, double Default) const;
   bool getBool(const std::string &Name, bool Default) const;
 
-  /// Positional (non-flag) arguments in order of appearance.
-  const std::vector<std::string> &positional() const { return Positional; }
-
   /// Comma-separated integer list flag, e.g. `--threads=1,2,4,8,16`.
   std::vector<int> getIntList(const std::string &Name,
                               std::vector<int> Default) const;
 
 private:
   std::map<std::string, std::string> Flags;
-  std::vector<std::string> Positional;
 };
 
 } // namespace solero

@@ -15,7 +15,9 @@
 ///
 /// plus SoleroPolicy variants for the Figure 10 ablations (Unelided,
 /// WeakBarrier). A policy instance is one lock: construct one per
-/// protected object.
+/// protected object. Every policy reports `released()`, the quiescent
+/// final-state check the torture harness (stress/TortureRunner.cpp) and
+/// the KV oracle (stress/KvOracle.h) assert after a run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +52,11 @@ public:
 
   static const char *name() { return "Lock"; }
 
+  /// True when the lock word is back to unlocked and uninflated.
+  bool released() const {
+    return Header.word().load(std::memory_order_relaxed) == 0;
+  }
+
 private:
   TasukiLock Protocol;
   ObjectHeader Header;
@@ -70,6 +77,9 @@ public:
   }
 
   static const char *name() { return "RWLock"; }
+
+  /// True when no reader indication is left behind.
+  bool released() const { return Lock->readerCount() == 0; }
 
 private:
   std::unique_ptr<ReadWriteLock> Lock;
@@ -93,6 +103,10 @@ public:
   }
 
   static const char *name() { return "BravoRW"; }
+
+  /// True when no reader indication is left behind in either layer: the
+  /// biased visible-readers slots and the underlying centralized count.
+  bool released() const { return Lock->readerCount() == 0; }
 
   BravoRwLock &protocol() { return *Lock; }
 
@@ -119,6 +133,12 @@ public:
 
   static const char *name() { return "SOLERO"; }
 
+  /// True when the lock word is free (released and deflated).
+  bool released() const {
+    return lockword::soleroIsFree(
+        Header.word().load(std::memory_order_relaxed));
+  }
+
   SoleroLock &protocol() { return Protocol; }
 
 private:
@@ -135,15 +155,28 @@ private:
 /// get a plain spinlock with no contention management. The KV service
 /// bench runs it as the per-shard read-path ceiling; it takes (and
 /// ignores) a RuntimeContext so it constructs like the other policies.
+///
+/// A read section that throws is treated the way the elision engine
+/// treats it (paper Section 3.3): the exception escapes only when the
+/// snapshot it was computed from is consistent; otherwise the section
+/// re-executes.
 class SeqLockPolicy {
 public:
   explicit SeqLockPolicy(RuntimeContext &) {}
 
-  template <typename Fn> decltype(auto) read(Fn &&F) {
-    return Lock.readProtected([&] {
-      ReadGuard G(/*Speculative=*/true);
-      return F(G);
-    });
+  template <typename Fn> auto read(Fn &&F) {
+    for (;;) {
+      uint64_t V = Lock.readBegin();
+      try {
+        ReadGuard G(/*Speculative=*/true);
+        auto R = F(G);
+        if (!Lock.readRetry(V))
+          return R;
+      } catch (...) {
+        if (!Lock.readRetry(V))
+          throw;
+      }
+    }
   }
 
   template <typename Fn> decltype(auto) write(Fn &&F) {
@@ -153,6 +186,9 @@ public:
   }
 
   static const char *name() { return "SeqLock"; }
+
+  /// True when no writer holds the sequence word (the counter is even).
+  bool released() const { return (Lock.value() & 1) == 0; }
 
   SeqLock &protocol() { return Lock; }
 
@@ -200,6 +236,8 @@ public:
   }
 
   static const char *name() { return "Adaptive-SOLERO"; }
+
+  bool released() const { return Inner.released(); }
 
   SoleroLock &protocol() { return Inner.protocol(); }
 

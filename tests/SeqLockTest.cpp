@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "locks/SeqLock.h"
+#include "workloads/LockPolicies.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,35 @@ TEST(SeqLock, ReadProtectedRetriesUntilConsistent) {
   });
   EXPECT_EQ(Result, 42);
   EXPECT_EQ(Calls, 2);
+}
+
+// Section 3.3's rule, applied to the seqlock policy: a throw escapes a read
+// section only when the snapshot it came from was consistent. The first
+// execution is torn by a writer and throws, so it must re-execute; the
+// second, clean execution's throw propagates.
+TEST(SeqLock, PolicyReExecutesTornThrowAndPropagatesCleanOne) {
+  RuntimeConfig RC;
+  RC.StartEventBus = false;
+  RuntimeContext Ctx(RC);
+  SeqLockPolicy P(Ctx);
+  struct Boom {
+    int Execution;
+  };
+  int Executions = 0;
+  try {
+    P.read([&](ReadGuard &) -> int {
+      if (++Executions == 1) {
+        P.protocol().writeLock();
+        P.protocol().writeUnlock();
+      }
+      throw Boom{Executions};
+    });
+    ADD_FAILURE() << "the clean execution's throw must propagate";
+  } catch (const Boom &B) {
+    EXPECT_EQ(B.Execution, 2);
+  }
+  EXPECT_EQ(Executions, 2);
+  EXPECT_TRUE(P.released());
 }
 
 TEST(SeqLock, WritersAreMutuallyExclusive) {

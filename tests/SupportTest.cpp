@@ -123,7 +123,7 @@ TEST(Stats, SafeRatioHandlesZeroDenominator) {
 
 TEST(CliParser, ParsesAllForms) {
   const char *Argv[] = {"prog",        "--threads=8",  "--name=hashmap",
-                        "--verbose",   "positional",   "--ratio=0.5",
+                        "--verbose",   "--mask=0x1f",  "--ratio=0.5",
                         "--list=1,2,4"};
   CliParser P(7, const_cast<char **>(Argv));
   EXPECT_EQ(P.getInt("threads", 1), 8);
@@ -131,11 +131,36 @@ TEST(CliParser, ParsesAllForms) {
   EXPECT_TRUE(P.getBool("verbose", false));
   EXPECT_FALSE(P.getBool("quiet", false));
   EXPECT_DOUBLE_EQ(P.getDouble("ratio", 0.0), 0.5);
-  ASSERT_EQ(P.positional().size(), 1u);
-  EXPECT_EQ(P.positional()[0], "positional");
   std::vector<int> L = P.getIntList("list", {});
   ASSERT_EQ(L.size(), 3u);
   EXPECT_EQ(L[2], 4);
+  EXPECT_EQ(P.getInt("mask", 0), 0x1f);
+}
+
+// A value that does not parse in full must not silently become 0 (and run
+// an empty experiment): the parser names the flag and exits 2.
+TEST(CliParser, MalformedValueExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"prog", "--iters=abc", "--ratio=0.5x", "--seeds=1,x"};
+  CliParser P(4, const_cast<char **>(Argv));
+  EXPECT_EXIT((void)P.getInt("iters", 1), ::testing::ExitedWithCode(2),
+              "--iters=abc");
+  EXPECT_EXIT((void)P.getDouble("ratio", 0.0), ::testing::ExitedWithCode(2),
+              "--ratio=0.5x");
+  EXPECT_EXIT((void)P.getIntList("seeds", {}), ::testing::ExitedWithCode(2),
+              "--seeds=1,x");
+  const char *Big[] = {"prog", "--iters=99999999999999999999"};
+  EXPECT_EXIT((void)CliParser(2, const_cast<char **>(Big)).getInt("iters", 1),
+              ::testing::ExitedWithCode(2), "--iters=9");
+}
+
+// `--seeds 1,2` (space instead of `=`) must not run with the default seeds
+// and an ignored "1,2".
+TEST(CliParser, PositionalArgumentExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"prog", "--seeds", "1,2"};
+  EXPECT_EXIT(CliParser(3, const_cast<char **>(Argv)),
+              ::testing::ExitedWithCode(2), "stray argument '1,2'");
 }
 
 TEST(CliParser, DefaultsWhenAbsent) {
