@@ -15,6 +15,8 @@
 ///   --seed=N        workload RNG seed
 ///   --json=PATH     also write the run's results as machine-readable JSON
 ///
+/// plus the flags it declares to BenchEnv; any other flag exits 2.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOLERO_BENCH_BENCHCOMMON_H
@@ -149,7 +151,9 @@ private:
 
 /// Everything a figure binary needs.
 struct BenchEnv {
-  BenchEnv(int Argc, char **Argv) : Args(Argc, Argv) {
+  /// \p Flags are the binary's own flags beyond the common set above.
+  BenchEnv(int Argc, char **Argv, std::vector<std::string> Flags = {})
+      : Args(Argc, Argv, withCommonFlags(std::move(Flags))) {
     Quick = Args.getBool("quick", false);
     Opts.Window = std::chrono::milliseconds(
         Args.getInt("window-ms", Quick ? 30 : 150));
@@ -174,6 +178,13 @@ struct BenchEnv {
   bool Quick = false;
   /// Destination of the machine-readable run report; empty = off.
   std::string JsonPath;
+
+private:
+  static std::vector<std::string> withCommonFlags(std::vector<std::string> F) {
+    F.insert(F.end(),
+             {"window-ms", "trials", "threads", "quick", "seed", "json"});
+    return F;
+  }
 };
 
 /// Prints the standard figure banner.

@@ -13,6 +13,7 @@
 #define SOLERO_BENCH_MAPBENCHRUNNER_H
 
 #include "BenchCommon.h"
+#include "HeapMeter.h"
 
 #include "collections/JavaHashMap.h"
 #include "collections/JavaTreeMap.h"
@@ -72,11 +73,25 @@ TrialRunner makeMapRunner(BenchEnv &Env, const char *Name, int Threads,
                      }};
 }
 
+/// Bytes one lock of \p Policy costs: sizeof the policy plus the heap its
+/// constructor requests (a lock held behind a pointer is charged there).
+/// The first construction is not measured, so the thread's own lazily
+/// built runtime state is not charged to the lock.
+template <typename Policy> double bytesPerLock(RuntimeContext &Ctx) {
+  {
+    Policy Warm(Ctx);
+  }
+  const std::size_t Before = heapBytesRequested();
+  Policy Measured(Ctx);
+  return static_cast<double>(sizeof(Policy) + heapBytesRequested() - Before);
+}
+
 /// One scaling variant of the Figure 12/13 map benches: Lock, RWLock,
 /// BRAVO and SOLERO interleaved at each thread count, printed as one table
 /// (throughput normalized to Lock at the first thread count) and added to
 /// \p Json under \p VariantId. \p FineGrained gives each thread its own
-/// map (#maps == #threads).
+/// map (#maps == #threads). Every JSON row carries the protocol's
+/// bytes_per_lock.
 template <typename MapT>
 void runScalingVariant(BenchEnv &Env, JsonReport &Json, const char *VariantId,
                        const char *Title, unsigned WritePct, bool FineGrained,
@@ -85,6 +100,13 @@ void runScalingVariant(BenchEnv &Env, JsonReport &Json, const char *VariantId,
   TablePrinter T({"threads", "Lock ops/s", "RWLock ops/s", "BRAVO ops/s",
                   "SOLERO ops/s", "SOLERO norm", "RWLock rmw/op",
                   "BRAVO rmw/op", "SOLERO rmw/op", "SOLERO fail%"});
+  // In runner order: Lock, RWLock, BravoRW, SOLERO.
+  const double Bytes[] = {bytesPerLock<TasukiPolicy>(*Env.Ctx),
+                          bytesPerLock<RwPolicy>(*Env.Ctx),
+                          bytesPerLock<BravoRwPolicy>(*Env.Ctx),
+                          bytesPerLock<SoleroPolicy>(*Env.Ctx)};
+  std::printf("bytes per lock: Lock %.0f, RWLock %.0f, BRAVO %.0f, "
+              "SOLERO %.0f\n", Bytes[0], Bytes[1], Bytes[2], Bytes[3]);
   double LockBase = 0;
   for (int N : Threads) {
     int Maps = FineGrained ? N : 1;
@@ -110,10 +132,9 @@ void runScalingVariant(BenchEnv &Env, JsonReport &Json, const char *VariantId,
               TablePrinter::num(Bravo.rmwPerOp(), 2),
               TablePrinter::num(So.rmwPerOp(), 2),
               TablePrinter::percent(So.failureRatio(), 1)});
-    Json.add(VariantId, "Lock", N, Lock);
-    Json.add(VariantId, "RWLock", N, Rw);
-    Json.add(VariantId, "BravoRW", N, Bravo);
-    Json.add(VariantId, "SOLERO", N, So);
+    for (std::size_t P = 0; P < R.size(); ++P)
+      Json.add(VariantId, Runners[P].Name, N, R[P],
+               {{"bytes_per_lock", Bytes[P]}});
   }
   T.print();
 }

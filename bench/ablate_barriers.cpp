@@ -40,7 +40,7 @@ template <typename Fn> double primitiveNs(Fn &&F) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"rounds", "keys"});
   printBanner("Ablation A2", "Memory-ordering costs (Section 3.4)",
               "Paper (Power6): ordering overhead of SOLERO reads = 20% "
               "(HashMap), 7% (TreeMap), 5%\n(SPECjbb); the elision win "

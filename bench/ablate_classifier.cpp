@@ -87,7 +87,7 @@ KindCounts countKinds(const Module &M, const ClassifierOptions &Opts) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"app-threads", "rounds"});
   printBanner("Ablation A6", "Escape analysis in the read-only classifier",
               "writes are allowed in elided sections only when they "
               "provably target region-local\nallocations; everything else "

@@ -57,7 +57,7 @@ struct GuestRunner {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"app-threads", "rounds"});
   printBanner("Ablation A3", "One guest program, two runtimes (JIT view)",
               "SOLERO replaces the conventional lock implementation with no "
               "guest-code change; the\nclassifier elides the read-only "

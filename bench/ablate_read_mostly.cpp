@@ -107,7 +107,7 @@ BenchResult run(BenchEnv &Env, Fixture &F, Mode M, int Threads,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"app-threads"});
   printBanner("Ablation A1", "Read-mostly extension (Section 5, Figure 17)",
               "No paper figure; expectation: read-mostly approaches elided "
               "read-only cost as the write\nprobability approaches zero.");

@@ -64,7 +64,7 @@ std::size_t report(const char *Name, const Module &M) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliParser Args(Argc, Argv);
+  CliParser Args(Argc, Argv, {"module"});
   std::string Which = Args.getString("module", "all");
   auto Want = [&](const char *Name) {
     return Which == "all" || Which == Name;

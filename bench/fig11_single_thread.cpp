@@ -39,7 +39,7 @@ TrialRunner makeJbbRunner(BenchEnv &Env, const char *Name) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"rounds", "keys"});
   printBanner("Figure 11",
               "Single-thread relative performance (Lock = 100%)",
               "SOLERO: HashMap0% 107.8, HashMap5% 106.4, TreeMap ~101, "

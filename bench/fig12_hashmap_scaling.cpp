@@ -27,7 +27,7 @@ using namespace solero;
 using HashMapT = JavaHashMap<int64_t, int64_t>;
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"rounds", "keys"});
   printBanner("Figure 12", "HashMap multi-thread throughput",
               "(a) 0% writes: SOLERO near-linear, Lock/RWLock degrade; "
               "(b) 5%: SOLERO leads, dips past 2\nthreads with 23% failures "

@@ -22,7 +22,7 @@ using namespace solero;
 using TreeMapT = JavaTreeMap<int64_t, int64_t>;
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"rounds", "keys"});
   printBanner("Figure 13", "TreeMap multi-thread throughput",
               "(a) 0% writes: SOLERO near-linear and highest; (b) 5% "
               "writes: SOLERO improves to ~8\nthreads, highest at every "

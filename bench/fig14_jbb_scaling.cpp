@@ -36,7 +36,7 @@ TrialRunner makeJbbRunner(BenchEnv &Env, const char *Name, int Threads) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"rounds"});
   printBanner("Figure 14", "SPECjbb-like multi-thread throughput "
                            "(warehouses == threads)",
               "SOLERO's ~4% single-thread advantage carries across thread "

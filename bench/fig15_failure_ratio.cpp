@@ -131,7 +131,7 @@ int runAdaptiveSweep(BenchEnv &Env) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"adaptive", "adaptive-threads", "rounds", "keys"});
   if (Env.Args.getBool("adaptive", false))
     return runAdaptiveSweep(Env);
   printBanner("Figure 15",

@@ -18,7 +18,7 @@
 using namespace solero;
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"app-threads", "rounds"});
   printBanner("Figure 16", "DaCapo-profile applications, Lock vs SOLERO",
               "Low read-only ratios (h2 0%, tomcat 3.7%, tradebeans 0.3%, "
               "tradesoap 11.4%): SOLERO ~=\nLock, degradation < 1%.");

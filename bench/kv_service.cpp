@@ -659,7 +659,14 @@ template <typename... Policies, typename Fn> void forEachPolicy(Fn &&F) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv,
+               {"burst-factor", "burst-len-ms", "burst-period-ms", "chaos",
+                "chaos-gap-ms", "chaos-kinds", "chaos-max-ms", "chaos-min-ms",
+                "checkpoint", "deadline-us", "degraded-slo-us", "del",
+                "duration-ms", "keys", "pin", "policies", "put", "rate",
+                "restore", "retry-burst", "retry-rate", "scan", "shards",
+                "shed-window-ms", "slo-us", "slow-shard-us", "stall-bound-ms",
+                "sweep-factor", "sweep-steps", "zipf"});
   printBanner(
       "KV service", "sharded store under open-loop Poisson/Zipfian load",
       "beyond the paper: service-style tail-latency evaluation (ROADMAP "

@@ -82,7 +82,9 @@ std::unique_ptr<ProtocolModel> buildModel(const std::string &Name,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliParser Args(Argc, Argv);
+  CliParser Args(Argc, Argv,
+                 {"all", "depth-bound", "max-transitions", "mem", "model",
+                  "por", "quiet", "variant"});
   const bool All = Args.getBool("all", false);
   const std::string ModelName = Args.getString("model", All ? "" : "solero");
   const std::string Variant = Args.getString("variant", "shipped");

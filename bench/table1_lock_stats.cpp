@@ -40,7 +40,9 @@ void addRow(TablePrinter &T, const PaperRow &P, const BenchResult &R) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv,
+               {"adaptive", "adaptive-threads", "bravo", "bravo-threads",
+                "keys"});
   printBanner("Table 1", "Lock statistics per benchmark",
               "Lock frequency (M locks/s) and read-only lock ratio: Empty "
               "12.8/100%, HashMap 5.4/100%\nand 5.3/95%, TreeMap 1.7/100% "

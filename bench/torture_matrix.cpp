@@ -28,7 +28,9 @@ using namespace solero;
 using namespace solero::stress;
 
 int main(int Argc, char **Argv) {
-  CliParser Cli(Argc, Argv);
+  CliParser Cli(Argc, Argv,
+                {"enforce-watchdog", "iters", "quick", "seeds", "smoke",
+                 "storm-us", "threads", "writes"});
   const bool Smoke = Cli.getBool("smoke", false);
   const bool Quick = Cli.getBool("quick", false);
   const bool EnforceWatchdog = Cli.getBool("enforce-watchdog", false);

@@ -146,7 +146,7 @@ bool restoreWarm(const char *Tag, const image::LoadedImage &Img,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchEnv Env(Argc, Argv);
+  BenchEnv Env(Argc, Argv, {"checkpoint", "ops", "restore", "windows"});
   printBanner(
       "Warm restart", "Time-to-peak elision, cold vs restored warm image",
       "No paper figure; expectation: the restored run is within "

@@ -68,7 +68,7 @@ void runScenario(RuntimeContext &Ctx, const char *Name, int Threads,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliParser Args(Argc, Argv);
+  CliParser Args(Argc, Argv, {"seconds", "threads"});
   int Threads = static_cast<int>(Args.getInt("threads", 4));
   auto Window = std::chrono::milliseconds(
       static_cast<int>(Args.getInt("seconds", 1) * 1000) / 4);

@@ -94,7 +94,7 @@ private:
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliParser Args(Argc, Argv);
+  CliParser Args(Argc, Argv, {"orders", "threads"});
   const int Threads = static_cast<int>(Args.getInt("threads", 4));
   const int Orders = static_cast<int>(Args.getInt("orders", 20000));
 

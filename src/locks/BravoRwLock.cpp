@@ -6,6 +6,7 @@
 
 #include "locks/BravoRwLock.h"
 
+#include "stress/InjectionPoint.h"
 #include "support/Assert.h"
 #include "support/Backoff.h"
 #include "support/Clock.h"
@@ -32,15 +33,18 @@ BravoReaderTable::BravoReaderTable()
     HighWater[P].store(0, std::memory_order_relaxed);
 }
 
-BravoReaderTable::Slot &BravoReaderTable::slotFor(const void *Lock) {
+BravoReaderTable::ThreadSlot BravoReaderTable::slotFor(const void *Lock) {
   // The group is pinned per thread on first publication: one cache line in
   // the current NUMA node's partition, at the thread's registry slot. The
   // cache holds for the thread's lifetime (registry slots never change
   // while a thread lives), so steady-state cost is a TLS load plus the
-  // lock-address mix.
+  // lock-address mix. Depth[I] is the thread's hold depth on slot I: it
+  // sits in TLS, not in the table or the lock, so counting a nested hold
+  // writes no line another thread reads.
   struct GroupRef {
     Group *G = nullptr;
     uint64_t ThreadMix = 0;
+    uint32_t Depth[SlotsPerGroup] = {};
   };
   static thread_local GroupRef Ref;
   if (!Ref.G) {
@@ -64,7 +68,8 @@ BravoReaderTable::Slot &BravoReaderTable::slotFor(const void *Lock) {
       (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Lock)) >> 4) *
           0x9E3779B97F4A7C15ull ^
       Ref.ThreadMix;
-  return Ref.G->Slots[(H >> 32) & (SlotsPerGroup - 1)];
+  const unsigned I = (H >> 32) & (SlotsPerGroup - 1);
+  return {Ref.G->Slots[I], Ref.Depth[I]};
 }
 
 uint64_t BravoReaderTable::waitForReadersOf(const void *Lock) const {
@@ -101,57 +106,59 @@ uint64_t BravoReaderTable::countReadersOf(const void *Lock) const {
 // --- BravoRwLock -----------------------------------------------------------
 
 BravoRwLock::BravoRwLock(RuntimeContext &Ctx, BravoConfig Config)
-    : Config(Config), Underlying(Ctx),
-      FastHolds(new uint32_t[ThreadRegistry::MaxThreads]()) {}
+    : Config(Config), Underlying(Ctx) {}
 
 void BravoRwLock::readLock() {
-  ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Fast = FastHolds[TS.slot()];
-  if (Fast > 0) {
+  BravoReaderTable::ThreadSlot Mine =
+      BravoReaderTable::instance().slotFor(this);
+  const void *Published = Mine.Publication.load(std::memory_order_relaxed);
+  if (Published == this) {
     // Reentrant under an existing biased hold: the published slot already
     // keeps writers out; no second publication needed.
-    ++Fast;
+    ++Mine.Depth;
     return;
   }
-  if (Config.BiasEnabled && RBias.load(std::memory_order_acquire)) {
-    BravoReaderTable::Slot &S = BravoReaderTable::instance().slotFor(this);
-    // Occupied means this thread already advertises a *different* lock
-    // that collides in its group — that lock's hold, not ours.
-    if (S.load(std::memory_order_relaxed) == nullptr) {
-      S.store(this, std::memory_order_relaxed);
-      ++TS.Counters.LockWordStores;
-      // Dekker against revokeBias(): our publication must be ordered
-      // before the bias recheck, the writer's bias clear before its table
-      // scan. Either the writer sees the slot or we see the cleared bias.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (RBias.load(std::memory_order_acquire)) {
-        Fast = 1;
-        return;
-      }
-      // A revocation raced in: withdraw and queue on the underlying lock.
-      S.store(nullptr, std::memory_order_release);
+  // Occupied by another lock means this thread already advertises a
+  // *different* lock that collides in its group: that lock's hold, not
+  // ours, so this acquisition takes the underlying path.
+  if (Published == nullptr && Config.BiasEnabled &&
+      RBias.load(std::memory_order_acquire)) {
+    SOLERO_CHECK(Mine.Depth == 0,
+                 "biased read hold depth without a matching table "
+                 "publication");
+    Mine.Publication.store(this, std::memory_order_relaxed);
+    ++ThreadRegistry::current().Counters.LockWordStores;
+    SOLERO_INJECT(BravoReadPublish);
+    // Dekker against revokeBias(): our publication must be ordered before
+    // the bias recheck, the writer's bias clear before its table scan.
+    // Either the writer sees the slot or we see the cleared bias.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (RBias.load(std::memory_order_acquire)) {
+      Mine.Depth = 1;
+      return;
     }
+    // A revocation raced in: withdraw and queue on the underlying lock.
+    Mine.Publication.store(nullptr, std::memory_order_release);
   }
   Underlying.readLock();
   maybeReenableBias();
 }
 
 void BravoRwLock::readUnlock() {
-  ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Fast = FastHolds[TS.slot()];
-  if (Fast > 0) {
-    if (--Fast == 0) {
-      BravoReaderTable::Slot &S = BravoReaderTable::instance().slotFor(this);
-      SOLERO_CHECK(S.load(std::memory_order_relaxed) == this,
-                   "biased read hold without a matching table publication");
-      // Release: the critical section's reads must be ordered before a
-      // revoking writer (which acquire-loads the slot) can proceed.
-      S.store(nullptr, std::memory_order_release);
-      ++TS.Counters.LockWordStores;
-    }
+  BravoReaderTable::ThreadSlot Mine =
+      BravoReaderTable::instance().slotFor(this);
+  if (Mine.Publication.load(std::memory_order_relaxed) != this) {
+    Underlying.readUnlock();
     return;
   }
-  Underlying.readUnlock();
+  SOLERO_CHECK(Mine.Depth > 0,
+               "table publication without a biased read hold depth");
+  if (--Mine.Depth == 0) {
+    // Release: the critical section's reads must be ordered before a
+    // revoking writer (which acquire-loads the slot) can proceed.
+    Mine.Publication.store(nullptr, std::memory_order_release);
+    ++ThreadRegistry::current().Counters.LockWordStores;
+  }
 }
 
 void BravoRwLock::writeLock() {
@@ -175,6 +182,7 @@ void BravoRwLock::writeUnlock() { Underlying.writeUnlock(); }
 void BravoRwLock::revokeBias() {
   uint64_t Start = nowNs();
   RBias.store(false, std::memory_order_relaxed);
+  SOLERO_INJECT(BravoRevokeScan);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   BravoReaderTable::instance().waitForReadersOf(this);
   int64_t Cost = static_cast<int64_t>(nowNs() - Start);

@@ -36,6 +36,11 @@
 /// publication can stay a plain store — no CAS even on the slot, which the
 /// original BRAVO needs because its hash shares slots between threads.
 ///
+/// The lock itself carries no per-thread state. A thread holds a lock
+/// biased exactly when its own slot advertises that lock, and the nesting
+/// depth of that hold lives in the thread's TLS beside its group pointer,
+/// so a biased read section writes only lines its own thread owns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOLERO_LOCKS_BRAVORWLOCK_H
@@ -76,10 +81,19 @@ public:
 
   static BravoReaderTable &instance();
 
-  /// The calling thread's slot for \p Lock (always a valid pointer; the
-  /// caller checks occupancy). First call from a thread pins its group to
-  /// the current NUMA node's partition.
-  Slot &slotFor(const void *Lock);
+  /// The calling thread's slot for a lock, and that thread's hold depth on
+  /// it. Depth counts nested biased holds of whichever lock Publication
+  /// advertises and is 0 while Publication is empty; it lives in the
+  /// thread's TLS, so only the owner ever reads or writes it.
+  struct ThreadSlot {
+    Slot &Publication;
+    uint32_t &Depth;
+  };
+
+  /// The calling thread's slot for \p Lock (the caller checks occupancy).
+  /// First call from a thread pins its group to the current NUMA node's
+  /// partition.
+  ThreadSlot slotFor(const void *Lock);
 
   /// Spin-waits until no slot still advertises \p Lock (writer-side
   /// revocation scan). Returns the number of slots that had to drain.
@@ -204,10 +218,6 @@ private:
   /// steady_clock ns deadline before which bias must not be re-enabled.
   std::atomic<int64_t> InhibitUntil{0};
   std::atomic<uint64_t> Revocations{0};
-  /// Per-thread count of read holds taken through the biased fast path
-  /// (indexed by registry slot, like ReadWriteLock::ReadHolds). Nonzero
-  /// means this thread's table slot advertises this lock.
-  std::unique_ptr<uint32_t[]> FastHolds;
 };
 
 } // namespace solero

@@ -9,10 +9,35 @@
 #include "support/Assert.h"
 #include "support/Backoff.h"
 
+#include <vector>
+
 using namespace solero;
 
-ReadWriteLock::ReadWriteLock(RuntimeContext &Ctx)
-    : Ctx(Ctx), ReadHolds(new uint32_t[ThreadRegistry::MaxThreads]()) {}
+namespace {
+
+/// One lock's read-hold depth on the calling thread.
+struct ReadHold {
+  const ReadWriteLock *Lock;
+  uint32_t Depth;
+};
+
+/// The calling thread's read holds on every ReadWriteLock, keyed by lock
+/// address; an entry leaves when its depth reaches zero. Only the owning
+/// thread touches it, so counting a hold writes no line another thread's
+/// holds share, and a lock carries no per-thread storage. A thread holds
+/// few locks at once, so a linear scan finds the entry.
+thread_local std::vector<ReadHold> Holds;
+
+ReadHold *holdOn(const ReadWriteLock *L) {
+  for (ReadHold &H : Holds)
+    if (H.Lock == L)
+      return &H;
+  return nullptr;
+}
+
+} // namespace
+
+ReadWriteLock::ReadWriteLock(RuntimeContext &Ctx) : Ctx(Ctx) {}
 
 uint64_t ReadWriteLock::selfOwner() const {
   return static_cast<uint64_t>(ThreadRegistry::current().slot()) + 1;
@@ -21,11 +46,11 @@ uint64_t ReadWriteLock::selfOwner() const {
 void ReadWriteLock::readLock() {
   ThreadState &TS = ThreadRegistry::current();
   uint64_t Self = selfOwner();
-  uint32_t &Holds = ReadHolds[TS.slot()];
+  ReadHold *Held = holdOn(this);
   for (int Spin = 0;; ++Spin) {
     uint64_t S = State.load(std::memory_order_relaxed);
     bool OwnWrite = ownerOf(S) == Self;
-    bool Reentrant = Holds > 0;
+    bool Reentrant = Held != nullptr;
     bool WriterBlocked = ownerOf(S) != 0 && !OwnWrite;
     bool WriterGate = WaitingWriters.load(std::memory_order_relaxed) != 0 &&
                       !OwnWrite && !Reentrant;
@@ -36,7 +61,10 @@ void ReadWriteLock::readLock() {
       ++TS.Counters.AtomicRmws;
       if (State.compare_exchange_weak(S, S + 1, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-        ++Holds;
+        if (Held)
+          ++Held->Depth;
+        else
+          Holds.push_back({this, 1});
         return;
       }
       continue;
@@ -54,9 +82,12 @@ void ReadWriteLock::readLock() {
 
 void ReadWriteLock::readUnlock() {
   ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Holds = ReadHolds[TS.slot()];
-  SOLERO_CHECK(Holds > 0, "readUnlock without a read hold");
-  --Holds;
+  ReadHold *Held = holdOn(this);
+  SOLERO_CHECK(Held != nullptr, "readUnlock without a read hold");
+  if (--Held->Depth == 0) {
+    *Held = Holds.back();
+    Holds.pop_back();
+  }
   ++TS.Counters.AtomicRmws;
   uint64_t Prev = State.fetch_sub(1, std::memory_order_release);
   SOLERO_CHECK(readersOf(Prev) != 0,

@@ -16,6 +16,12 @@
 /// underperforming even plain mutual exclusion on read-mostly
 /// microbenchmarks (Section 4.2).
 ///
+/// Each thread's read-hold depth lives on the thread side, in a
+/// thread-local list keyed by lock address (the split Compact Java
+/// Monitors makes: a small per-object part, the rest on the thread). The
+/// lock itself is a few words plus its park mutex and condition
+/// variables, with no per-thread storage and no heap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOLERO_LOCKS_READWRITELOCK_H
@@ -24,7 +30,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "runtime/ReadGuard.h"
@@ -92,12 +97,6 @@ private:
   std::mutex Mu;
   std::condition_variable ReadersCv;
   std::condition_variable WritersCv;
-
-  // Per-thread read-hold counts (indexed by ThreadState slot); lets
-  // reentrant readers bypass the writer-preference gate. Sized from
-  // ThreadRegistry::MaxThreads, which the registry enforces at
-  // registration, so slot() can never index past the array.
-  std::unique_ptr<uint32_t[]> ReadHolds;
 };
 
 } // namespace solero

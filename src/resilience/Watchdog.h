@@ -169,6 +169,7 @@ private:
   std::unique_ptr<OpCell[]> Ops; ///< ThreadRegistry::MaxThreads cells
   /// Last stall start-ns already reported per slot, so one stuck section
   /// fires one diagnostic instead of one per poll.
+  // layout-lint: allow(single writer: only the monitor thread touches it)
   std::unique_ptr<uint64_t[]> Reported;
 
   std::atomic<bool> Running{false};

@@ -215,10 +215,13 @@ class ThreadRegistry {
 public:
   /// Hard capacity on concurrently registered threads. Slots are recycled
   /// at thread exit, so this bounds *live* threads, not lifetime threads.
-  /// Components that key per-thread arrays by slot() (ReadWriteLock's
-  /// read-hold table, the BRAVO visible-readers table) size them from this
-  /// constant; registerThread() aborts with a diagnostic rather than hand
-  /// out a slot those arrays would index out of bounds.
+  /// Process-wide tables keyed by slot() (the BRAVO visible-readers table,
+  /// the watchdog's op table) size them from this constant;
+  /// registerThread() aborts with a diagnostic rather than hand out a slot
+  /// those arrays would index out of bounds. Each element a thread writes
+  /// must own its cache line (tools/layout_lint.py checks this), and no
+  /// lock carries such an array: per-lock, per-thread state such as a
+  /// read-hold depth lives on the thread side.
   static constexpr uint32_t MaxThreads = 1024;
 
   /// The process-wide registry.

@@ -42,6 +42,10 @@ const char *siteName(Site S) {
     return "MonitorInflate";
   case Site::MonitorDeflate:
     return "MonitorDeflate";
+  case Site::BravoReadPublish:
+    return "BravoReadPublish";
+  case Site::BravoRevokeScan:
+    return "BravoRevokeScan";
   case Site::Count:
     break;
   }

@@ -7,7 +7,8 @@
 /// \file
 /// Named hooks at every lock-word transition window in the lock protocols
 /// (release-store windows, FLC publication, inflation/deflation, the
-/// read-mostly upgrade CAS). Each site is a `SOLERO_INJECT(Name)` macro
+/// read-mostly upgrade CAS, BRAVO's reader publication and writer
+/// revocation). Each site is a `SOLERO_INJECT(Name)` macro
 /// placed between the decision load and the commit store/CAS, so a torture
 /// harness can stretch a nanosecond race window to milliseconds by
 /// yielding, spinning, or sleeping there.
@@ -43,6 +44,8 @@ enum class Site : uint32_t {
   MonitorPark,             ///< acquireOrPark: immediately before the timed park
   MonitorInflate,          ///< inflated-word install windows
   MonitorDeflate,          ///< fatExit: deflation restore-word store
+  BravoReadPublish,        ///< BRAVO reader: slot publish -> fence + recheck
+  BravoRevokeScan,         ///< BRAVO writer: bias clear -> fence + table scan
   Count
 };
 

@@ -6,6 +6,9 @@
 
 #include "support/CliParser.h"
 
+#include "support/Assert.h"
+
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -41,7 +44,9 @@ bool parseInt(const std::string &Text, int64_t &Out, int64_t Lo = INT64_MIN,
 
 } // namespace
 
-CliParser::CliParser(int Argc, char **Argv) {
+CliParser::CliParser(int Argc, char **Argv, std::vector<std::string> Known)
+    : Known(std::move(Known)) {
+  std::sort(this->Known.begin(), this->Known.end());
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
     if (std::strncmp(Arg, "--", 2) != 0) {
@@ -50,65 +55,76 @@ CliParser::CliParser(int Argc, char **Argv) {
       std::exit(2);
     }
     std::string Body = Arg + 2;
+    // Bare `--switch` is true; values need the unambiguous `--flag=value`.
     auto Eq = Body.find('=');
-    if (Eq != std::string::npos) {
-      Flags[Body.substr(0, Eq)] = Body.substr(Eq + 1);
-      continue;
+    std::string Name = Body.substr(0, Eq);
+    if (!std::binary_search(this->Known.begin(), this->Known.end(), Name)) {
+      std::fprintf(stderr, "error: unknown flag --%s\nusage: %s", Name.c_str(),
+                   Argv[0]);
+      for (const std::string &K : this->Known)
+        std::fprintf(stderr, " [--%s]", K.c_str());
+      std::fprintf(stderr, "\n");
+      std::exit(2);
     }
-    // Bare `--switch`. Values must use the unambiguous `--flag=value` form.
-    Flags[Body] = "";
+    Flags[Name] = Eq == std::string::npos ? "" : Body.substr(Eq + 1);
   }
 }
 
+const std::string *CliParser::find(const std::string &Name) const {
+  if (!std::binary_search(Known.begin(), Known.end(), Name)) {
+    std::fprintf(stderr, "flag --%s is read but not declared\n", Name.c_str());
+    SOLERO_UNREACHABLE("queried an undeclared command-line flag");
+  }
+  auto It = Flags.find(Name);
+  return It == Flags.end() ? nullptr : &It->second;
+}
+
 bool CliParser::has(const std::string &Name) const {
-  return Flags.count(Name) != 0;
+  return find(Name) != nullptr;
 }
 
 std::string CliParser::getString(const std::string &Name,
                                  const std::string &Default) const {
-  auto It = Flags.find(Name);
-  return It == Flags.end() ? Default : It->second;
+  const std::string *V = find(Name);
+  return V ? *V : Default;
 }
 
 int64_t CliParser::getInt(const std::string &Name, int64_t Default) const {
-  auto It = Flags.find(Name);
-  if (It == Flags.end() || It->second.empty())
+  const std::string *Text = find(Name);
+  if (!Text || Text->empty())
     return Default;
   int64_t V = 0;
-  if (!parseInt(It->second, V))
-    badValue(Name, It->second, "an integer");
+  if (!parseInt(*Text, V))
+    badValue(Name, *Text, "an integer");
   return V;
 }
 
 double CliParser::getDouble(const std::string &Name, double Default) const {
-  auto It = Flags.find(Name);
-  if (It == Flags.end() || It->second.empty())
+  const std::string *Text = find(Name);
+  if (!Text || Text->empty())
     return Default;
   char *End = nullptr;
   errno = 0;
-  double V = std::strtod(It->second.c_str(), &End);
+  double V = std::strtod(Text->c_str(), &End);
   if (*End != '\0' || errno == ERANGE)
-    badValue(Name, It->second, "a number");
+    badValue(Name, *Text, "a number");
   return V;
 }
 
 bool CliParser::getBool(const std::string &Name, bool Default) const {
-  auto It = Flags.find(Name);
-  if (It == Flags.end())
+  const std::string *V = find(Name);
+  if (!V)
     return Default;
-  if (It->second.empty() || It->second == "1" || It->second == "true" ||
-      It->second == "yes")
-    return true;
-  return false;
+  return V->empty() || *V == "1" || *V == "true" || *V == "yes";
 }
 
 std::vector<int> CliParser::getIntList(const std::string &Name,
                                        std::vector<int> Default) const {
-  auto It = Flags.find(Name);
-  if (It == Flags.end() || It->second.empty())
+  const std::string *Text = find(Name);
+  if (!Text || Text->empty())
     return Default;
   std::vector<int> Result;
-  const std::string &S = It->second;
+  const std::string &S = *Text;
   std::size_t Pos = 0;
   while (Pos < S.size()) {
     std::size_t Comma = S.find(',', Pos);

@@ -7,8 +7,10 @@
 /// \file
 /// Minimal `--flag=value` / `--switch` parser shared by the bench and
 /// example binaries. Values require the `=` form; a bare `--switch` is a
-/// boolean true. A positional argument, or a numeric flag whose value does
-/// not parse in full, prints an error naming it and exits with status 2.
+/// boolean true. Each program declares the flags it reads. A flag it did
+/// not declare (including `--help`) prints usage and exits with status 2,
+/// as do a positional argument and a numeric flag whose value does not
+/// parse in full, so a typo never runs the default experiment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +24,12 @@
 
 namespace solero {
 
-/// Parses `argv` into a flag map. Callers query the flags they understand;
-/// unknown flags are silently kept and never reported (making them an error
-/// is ROADMAP item 5).
+/// Parses `argv` into a flag map against the program's declared flags.
 class CliParser {
 public:
-  CliParser(int Argc, char **Argv);
+  /// \p Known names every flag the program reads (without the `--`).
+  /// Querying a name not in it is a programming error and aborts.
+  CliParser(int Argc, char **Argv, std::vector<std::string> Known);
 
   /// True if `--Name` appeared (with or without a value).
   bool has(const std::string &Name) const;
@@ -44,6 +46,10 @@ public:
                               std::vector<int> Default) const;
 
 private:
+  /// The value of a declared flag, or null when it was not given.
+  const std::string *find(const std::string &Name) const;
+
+  std::vector<std::string> Known;
   std::map<std::string, std::string> Flags;
 };
 

@@ -13,10 +13,14 @@
 
 #include "locks/BravoRwLock.h"
 
+#include "DeadlockGuard.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -28,6 +32,30 @@ RuntimeConfig quietConfig() {
   RuntimeConfig C;
   C.StartEventBus = false;
   return C;
+}
+
+/// Takes a read on \p Lock, lets a writer start waiting for it, then
+/// takes a nested read that must pass the waiting writer (it waits for
+/// this very hold, so parking the nested read would deadlock both).
+void expectReentrantReadPassesWaitingWriter(BravoRwLock &Lock) {
+  Lock.readLock();
+  std::atomic<bool> Acquired{false};
+  std::thread Writer([&] {
+    Lock.writeLock();
+    Acquired.store(true);
+    Lock.writeUnlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Acquired.load());
+  {
+    DeadlockGuard G("reentrant BravoRW reader parked behind a waiting writer");
+    Lock.readLock();
+  }
+  Lock.readUnlock();
+  Lock.readUnlock();
+  Writer.join();
+  EXPECT_TRUE(Acquired.load());
+  EXPECT_EQ(Lock.readerCount(), 0u);
 }
 
 class BravoRwLockTest : public ::testing::Test {
@@ -219,4 +247,81 @@ TEST_F(BravoRwLockTest, TwoLocksShareAThreadWithoutCrosstalk) {
   L.readUnlock();
   EXPECT_EQ(L.readerCount(), 0u);
   EXPECT_EQ(Other.readerCount(), 0u);
+}
+
+TEST_F(BravoRwLockTest, ReentrantReaderPassesWaitingWriterBiased) {
+  // The outer hold is a published slot; the writer has cleared the bias
+  // and is scanning for that slot. The nested read must recognise its own
+  // publication rather than queue on the underlying lock the writer owns.
+  armBias();
+  expectReentrantReadPassesWaitingWriter(L);
+}
+
+TEST_F(BravoRwLockTest, ReentrantReaderPassesWaitingWriterUnbiased) {
+  // Bias off: both holds are underlying ones, so the nested read relies on
+  // ReadWriteLock's reentrant bypass of its writer-preference gate.
+  BravoConfig Cfg;
+  Cfg.BiasEnabled = false;
+  BravoRwLock Plain(Ctx, Cfg);
+  expectReentrantReadPassesWaitingWriter(Plain);
+}
+
+TEST_F(BravoRwLockTest, LocksSharingAGroupSlotKeepSeparateHolds) {
+  // Eight slots per thread group: among nine locks two must share this
+  // thread's slot. The first to publish owns it; the other's holds go to
+  // its underlying lock, and neither's release may touch the other's.
+  std::vector<std::unique_ptr<BravoRwLock>> Locks;
+  std::map<const void *, BravoRwLock *> BySlot;
+  BravoRwLock *A = nullptr, *B = nullptr;
+  while (!B) {
+    Locks.push_back(std::make_unique<BravoRwLock>(Ctx));
+    BravoRwLock *N = Locks.back().get();
+    auto [It, Fresh] = BySlot.emplace(
+        &BravoReaderTable::instance().slotFor(N).Publication, N);
+    if (!Fresh) {
+      A = It->second;
+      B = N;
+    }
+  }
+  ASSERT_LE(Locks.size(), BravoReaderTable::SlotsPerGroup + 1);
+  for (BravoRwLock *X : {A, B}) {
+    X->readLock();
+    X->readUnlock();
+    ASSERT_TRUE(X->readBiased());
+  }
+
+  for (bool ReleaseAFirst : {true, false}) {
+    A->readLock();
+    A->readLock(); // biased: one publication, depth 2
+    B->readLock();
+    B->readLock(); // slot holds A: both holds on B's underlying lock
+    EXPECT_EQ(A->readerCount(), 1u);
+    EXPECT_EQ(B->readerCount(), 2u);
+    if (ReleaseAFirst) {
+      A->readUnlock();
+      EXPECT_EQ(A->readerCount(), 1u);
+      A->readUnlock();
+      EXPECT_EQ(A->readerCount(), 0u);
+      EXPECT_EQ(B->readerCount(), 2u);
+      // The slot is free again, so A republishes while B still holds
+      // underlying reads; B's releases must leave A's publication alone.
+      A->readLock();
+      B->readUnlock();
+      B->readUnlock();
+      EXPECT_EQ(A->readerCount(), 1u);
+      EXPECT_EQ(B->readerCount(), 0u);
+      A->readUnlock();
+    } else {
+      B->readUnlock();
+      EXPECT_EQ(A->readerCount(), 1u);
+      EXPECT_EQ(B->readerCount(), 1u);
+      B->readUnlock();
+      EXPECT_EQ(B->readerCount(), 0u);
+      A->readUnlock();
+      EXPECT_EQ(A->readerCount(), 1u);
+      A->readUnlock();
+    }
+    EXPECT_EQ(A->readerCount(), 0u);
+    EXPECT_EQ(B->readerCount(), 0u);
+  }
 }

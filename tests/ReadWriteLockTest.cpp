@@ -6,10 +6,13 @@
 
 #include "locks/ReadWriteLock.h"
 
+#include "DeadlockGuard.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -175,4 +178,49 @@ TEST_F(ReadWriteLockTest, ReadAcquisitionCountsAtomicRmws) {
     L.synchronizedReadOnly([](ReadGuard &) { return 0; });
   ProtocolCounters After = ThreadRegistry::instance().totalCounters();
   EXPECT_GE(After.AtomicRmws - Before.AtomicRmws, 200u); // lock + unlock
+}
+
+TEST_F(ReadWriteLockTest, ReentrantReaderPassesWaitingWriter) {
+  // Writer preference parks fresh readers behind a waiting writer, but a
+  // thread that already holds a read must pass: the writer waits for that
+  // very hold, so parking the reentrant reader would deadlock both.
+  L.readLock();
+  std::atomic<bool> Acquired{false};
+  std::thread Writer([&] {
+    L.writeLock();
+    Acquired.store(true);
+    L.writeUnlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Acquired.load());
+  {
+    DeadlockGuard G("reentrant RWLock reader parked behind a waiting writer");
+    L.readLock();
+  }
+  EXPECT_EQ(L.readerCount(), 2u);
+  L.readUnlock();
+  L.readUnlock();
+  Writer.join();
+  EXPECT_TRUE(Acquired.load());
+  EXPECT_EQ(L.readerCount(), 0u);
+}
+
+TEST_F(ReadWriteLockTest, OneThreadHoldsManyLocksReleasedOutOfOrder) {
+  // Read holds are kept per thread, keyed by lock: 80 distinct locks held
+  // at once (depths 1..3), then released in a scrambled order, must each
+  // find their own hold (readUnlock aborts when it finds none) and drain.
+  constexpr int N = 80;
+  std::vector<std::unique_ptr<ReadWriteLock>> Locks;
+  for (int I = 0; I < N; ++I) {
+    Locks.push_back(std::make_unique<ReadWriteLock>(Ctx));
+    for (int D = 0; D <= I % 3; ++D)
+      Locks.back()->readLock();
+  }
+  for (int K = 0; K < N; ++K) {
+    int I = (K * 37) % N; // 37 is coprime with N: visits every lock once
+    EXPECT_EQ(Locks[I]->readerCount(), static_cast<uint32_t>(I % 3 + 1));
+    for (int D = 0; D <= I % 3; ++D)
+      Locks[I]->readUnlock();
+    EXPECT_EQ(Locks[I]->readerCount(), 0u);
+  }
 }

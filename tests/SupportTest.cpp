@@ -125,7 +125,8 @@ TEST(CliParser, ParsesAllForms) {
   const char *Argv[] = {"prog",        "--threads=8",  "--name=hashmap",
                         "--verbose",   "--mask=0x1f",  "--ratio=0.5",
                         "--list=1,2,4"};
-  CliParser P(7, const_cast<char **>(Argv));
+  CliParser P(7, const_cast<char **>(Argv),
+              {"threads", "name", "verbose", "quiet", "mask", "ratio", "list"});
   EXPECT_EQ(P.getInt("threads", 1), 8);
   EXPECT_EQ(P.getString("name", ""), "hashmap");
   EXPECT_TRUE(P.getBool("verbose", false));
@@ -142,7 +143,7 @@ TEST(CliParser, ParsesAllForms) {
 TEST(CliParser, MalformedValueExitsTwo) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char *Argv[] = {"prog", "--iters=abc", "--ratio=0.5x", "--seeds=1,x"};
-  CliParser P(4, const_cast<char **>(Argv));
+  CliParser P(4, const_cast<char **>(Argv), {"iters", "ratio", "seeds"});
   EXPECT_EXIT((void)P.getInt("iters", 1), ::testing::ExitedWithCode(2),
               "--iters=abc");
   EXPECT_EXIT((void)P.getDouble("ratio", 0.0), ::testing::ExitedWithCode(2),
@@ -150,8 +151,9 @@ TEST(CliParser, MalformedValueExitsTwo) {
   EXPECT_EXIT((void)P.getIntList("seeds", {}), ::testing::ExitedWithCode(2),
               "--seeds=1,x");
   const char *Big[] = {"prog", "--iters=99999999999999999999"};
-  EXPECT_EXIT((void)CliParser(2, const_cast<char **>(Big)).getInt("iters", 1),
-              ::testing::ExitedWithCode(2), "--iters=9");
+  CliParser BigP(2, const_cast<char **>(Big), {"iters"});
+  EXPECT_EXIT((void)BigP.getInt("iters", 1), ::testing::ExitedWithCode(2),
+              "--iters=9");
 }
 
 // `--seeds 1,2` (space instead of `=`) must not run with the default seeds
@@ -159,13 +161,36 @@ TEST(CliParser, MalformedValueExitsTwo) {
 TEST(CliParser, PositionalArgumentExitsTwo) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char *Argv[] = {"prog", "--seeds", "1,2"};
-  EXPECT_EXIT(CliParser(3, const_cast<char **>(Argv)),
+  EXPECT_EXIT(CliParser(3, const_cast<char **>(Argv), {"seeds"}),
               ::testing::ExitedWithCode(2), "stray argument '1,2'");
+}
+
+// A flag the program does not read (a typo, `--help`, a flag of another
+// bench) must not run the default experiment: usage and exit 2.
+TEST(CliParser, UnknownFlagExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"prog", "--threads=2", "--writes=0"};
+  EXPECT_EXIT(CliParser(3, const_cast<char **>(Argv), {"threads", "quick"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --writes\nusage: prog \\[--quick\\] "
+              "\\[--threads\\]");
+  const char *Help[] = {"prog", "--help"};
+  EXPECT_EXIT(CliParser(2, const_cast<char **>(Help), {"threads"}),
+              ::testing::ExitedWithCode(2), "unknown flag --help");
+}
+
+// Reading a flag the program never declared is a bug in the program, not
+// bad input: it aborts instead of quietly returning the default.
+TEST(CliParser, UndeclaredQueryAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"prog"};
+  CliParser P(1, const_cast<char **>(Argv), {"threads"});
+  EXPECT_DEATH((void)P.getInt("rounds", 3), "--rounds is read but not");
 }
 
 TEST(CliParser, DefaultsWhenAbsent) {
   const char *Argv[] = {"prog"};
-  CliParser P(1, const_cast<char **>(Argv));
+  CliParser P(1, const_cast<char **>(Argv), {"threads"});
   EXPECT_EQ(P.getInt("threads", 4), 4);
   std::vector<int> L = P.getIntList("threads", {1, 2});
   EXPECT_EQ(L.size(), 2u);

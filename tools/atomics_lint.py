@@ -49,6 +49,13 @@ CALL_HEAD = re.compile(
 ORDER_TOKEN = re.compile(r"\bmemory_order(?:_\w+|\s*::\s*\w+)\b")
 ALLOW = re.compile(r"atomics-lint:\s*allow\(")
 VOLATILE = re.compile(r"\bvolatile\b")
+NUMBER_TAIL = re.compile(r"\b\d[\w']*$")
+
+
+def digit_separator(text, i):
+    """True when the quote at i splits the digits of a number (C++14
+    `20'000`) rather than opening a character literal."""
+    return bool(NUMBER_TAIL.search(text[max(0, i - 32) : i]))
 
 
 def strip_noncode(text):
@@ -74,7 +81,7 @@ def strip_noncode(text):
             kept = chunk if ALLOW.search(chunk) else re.sub(r"[^\n]", " ", chunk)
             out.append(kept)
             i = j
-        elif c in "\"'":
+        elif c in "\"'" and not (c == "'" and digit_separator(text, i)):
             j = i + 1
             while j < n and text[j] != c:
                 j = j + 2 if text[j] == "\\" else j + 1
@@ -160,6 +167,7 @@ def self_test():
                                     std::memory_order_acq_rel)) {}
         std::atomic_thread_fence();
         volatile int X = 0;
+        Limit = 20'000; W.store(2);
     """
     good = """
         V = W.load(std::memory_order_acquire);
@@ -172,12 +180,13 @@ def self_test():
         // atomics-lint: allow(annotation on the preceding line)
         W.load();
         // comment: W.store(3); volatile — stripped, not a finding
+        Limit = 0xff'ff; C = u8'x'; W.store(4, std::memory_order_relaxed);
     """
     bad_found = lint_text(bad, "bad")
     good_found = lint_text(good, "good")
-    ok = len(bad_found) == 7 and not good_found
+    ok = len(bad_found) == 8 and not good_found
     if not ok:
-        print(f"self-test FAILED: bad={len(bad_found)} (want 7), "
+        print(f"self-test FAILED: bad={len(bad_found)} (want 8), "
               f"good={len(good_found)} (want 0)")
         for f in bad_found + good_found:
             print("  %s:%d: %s" % f)
