@@ -13,12 +13,15 @@
 #define SOLERO_BENCH_MAPBENCHRUNNER_H
 
 #include "BenchCommon.h"
-#include "HeapMeter.h"
 
 #include "collections/JavaHashMap.h"
 #include "collections/JavaTreeMap.h"
 #include "collections/SynchronizedMap.h"
 #include "workloads/MapWorkload.h"
+
+#include <malloc.h>
+#include <optional>
+#include <vector>
 
 namespace solero {
 
@@ -73,17 +76,31 @@ TrialRunner makeMapRunner(BenchEnv &Env, const char *Name, int Threads,
                      }};
 }
 
+/// Bytes of heap in use in the main malloc arena, which is the one the
+/// main thread allocates from while a bench sets up.
+inline std::size_t mainArenaBytesInUse() {
+  struct mallinfo2 M = mallinfo2();
+  return M.uordblks + M.hblkhd;
+}
+
 /// Bytes one lock of \p Policy costs: sizeof the policy plus the heap its
-/// constructor requests (a lock held behind a pointer is charged there).
-/// The first construction is not measured, so the thread's own lazily
-/// built runtime state is not charged to the lock.
+/// constructor allocates, in allocator chunks (a lock held behind a pointer
+/// is charged there). Reading the allocator's statistics leaves the
+/// allocator, and so the measured runs, untouched. mallinfo2 counts chunks
+/// parked in the thread's cache (at most 7 per size class) as in use, so
+/// the first Batch constructions drain that cache and are not measured;
+/// the next Batch come from the arena and are averaged. The unmeasured
+/// ones also absorb the thread's lazily built runtime state.
 template <typename Policy> double bytesPerLock(RuntimeContext &Ctx) {
-  {
-    Policy Warm(Ctx);
-  }
-  const std::size_t Before = heapBytesRequested();
-  Policy Measured(Ctx);
-  return static_cast<double>(sizeof(Policy) + heapBytesRequested() - Before);
+  constexpr std::size_t Batch = 16;
+  std::vector<std::optional<Policy>> Locks(2 * Batch);
+  for (std::size_t I = 0; I < Batch; ++I)
+    Locks[I].emplace(Ctx);
+  const double Before = static_cast<double>(mainArenaBytesInUse());
+  for (std::size_t I = Batch; I < 2 * Batch; ++I)
+    Locks[I].emplace(Ctx);
+  const double Heap = static_cast<double>(mainArenaBytesInUse()) - Before;
+  return static_cast<double>(sizeof(Policy)) + Heap / Batch;
 }
 
 /// One scaling variant of the Figure 12/13 map benches: Lock, RWLock,

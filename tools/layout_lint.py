@@ -21,7 +21,7 @@ resolves an indexed array's element type from its declaration in the same
 file, the header or source of the same name, or anywhere scanned.
 
 Usage:
-    tools/layout_lint.py [--root=REPO] [DIR...]   # default: src
+    tools/layout_lint.py              # scans src/ of this repository
     tools/layout_lint.py --self-test
 
 Exit status: 0 clean, 1 findings, 2 usage/self-test failure.
@@ -33,7 +33,7 @@ from pathlib import Path
 
 from atomics_lint import line_of, strip_noncode
 
-AUDITED_DIRS = ["src"]
+AUDITED_DIR = "src"
 SUFFIXES = {".h", ".cpp"}
 
 ALLOW = re.compile(r"layout-lint:\s*allow\(")
@@ -308,29 +308,18 @@ def self_test():
 
 
 def main(argv):
-    root = Path(".")
-    dirs = []
-    for arg in argv[1:]:
-        if arg == "--self-test":
-            return self_test()
-        if arg.startswith("--root="):
-            root = Path(arg.split("=", 1)[1])
-        elif arg.startswith("--"):
-            print(f"layout_lint: unknown flag {arg}", file=sys.stderr)
-            return 2
-        else:
-            dirs.append(arg)
-    dirs = dirs or AUDITED_DIRS
+    args = argv[1:]
+    if args == ["--self-test"]:
+        return self_test()
+    if args:
+        print("usage: layout_lint.py [--self-test]", file=sys.stderr)
+        return 2
 
+    root = Path(__file__).resolve().parents[1]
     texts = {}
-    for d in dirs:
-        base = root / d
-        if not base.is_dir():
-            print(f"layout_lint: no such directory {base}", file=sys.stderr)
-            return 2
-        for p in sorted(base.rglob("*")):
-            if p.suffix in SUFFIXES:
-                texts[str(p.relative_to(root))] = p.read_text()
+    for p in sorted((root / AUDITED_DIR).rglob("*")):
+        if p.suffix in SUFFIXES:
+            texts[str(p.relative_to(root))] = p.read_text()
     findings = lint_texts(texts)
     for path, lineno, msg in findings:
         print(f"{path}:{lineno}: {msg}")
