@@ -106,7 +106,7 @@ uint64_t BravoReaderTable::countReadersOf(const void *Lock) const {
 // --- BravoRwLock -----------------------------------------------------------
 
 BravoRwLock::BravoRwLock(RuntimeContext &Ctx, BravoConfig Config)
-    : Config(Config), Underlying(Ctx) {}
+    : Underlying(Ctx), Config(Config) {}
 
 void BravoRwLock::readLock() {
   BravoReaderTable::ThreadSlot Mine =
@@ -180,39 +180,32 @@ void BravoRwLock::writeLock() {
 void BravoRwLock::writeUnlock() { Underlying.writeUnlock(); }
 
 void BravoRwLock::revokeBias() {
-  uint64_t Start = nowNs();
   RBias.store(false, std::memory_order_relaxed);
   SOLERO_INJECT(BravoRevokeScan);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   BravoReaderTable::instance().waitForReadersOf(this);
-  int64_t Cost = static_cast<int64_t>(nowNs() - Start);
-  // Adaptive self-disabling (the Fissile-style degradation bound): bias
-  // stays off for InhibitMultiplier x the measured revocation cost, so a
-  // write-heavy lock pays at most ~1/InhibitMultiplier extra and converges
-  // to the plain underlying lock. The floor covers coarse clocks reading
-  // an empty scan as 0 ns.
-  int64_t Inhibit = Cost * static_cast<int64_t>(Config.InhibitMultiplier);
-  if (Inhibit < 1000)
-    Inhibit = 1000;
-  InhibitUntil.store(static_cast<int64_t>(nowNs()) + Inhibit,
-                     std::memory_order_relaxed);
+  // Adaptive self-disabling, counted in reads: bias stays off until this
+  // many slow-path reads of this lock have gone by. The refill happens
+  // under the write hold, so every slow reader (which counts down under a
+  // read hold) sees it.
+  SlowReadBudget.store(RearmAfterSlowReads, std::memory_order_relaxed);
   Revocations.fetch_add(1, std::memory_order_relaxed);
 }
 
 void BravoRwLock::forceRevokeBias(int64_t InhibitNs) {
-  // Inhibit first: once RBias drops, any slow-path reader may call
-  // maybeReenableBias(), and it must already see the new deadline or the
+  // Deadline first: once RBias drops, any slow-path reader may call
+  // maybeReenableBias(), and it must already see the forced window or the
   // forced revocation would bounce straight back.
   if (InhibitNs < 1000)
     InhibitNs = 1000;
-  InhibitUntil.store(static_cast<int64_t>(nowNs()) + InhibitNs,
-                     std::memory_order_relaxed);
+  ForcedUntil.store(static_cast<int64_t>(nowNs()) + InhibitNs,
+                    std::memory_order_relaxed);
   // Drain flag before the clear: a writer that observes RBias == false
   // must also observe the pending drain (release/acquire pairing on the
   // two flags via the seq_cst exchange below).
   ForcedDrainPending.store(true, std::memory_order_release);
   if (!RBias.exchange(false, std::memory_order_seq_cst))
-    return; // already unbiased; the extended inhibit window still holds
+    return; // already unbiased; the forced window still holds
   // Dekker against the reader's {publish; fence; recheck}: the seq_cst
   // exchange above plays the writer's {clear; fence} role, so a reader
   // that slipped in biased has a publication the deferred drain scan is
@@ -227,18 +220,24 @@ void BravoRwLock::maybeReenableBias() {
   // bias, or a biased reader could enter alongside the held write lock.
   if (Underlying.writeHeldByCurrentThread())
     return;
-  int64_t Until = InhibitUntil.load(std::memory_order_relaxed);
+  // Count down with a plain load and store: a decrement lost to a racing
+  // reader only delays the re-arm. The read that spends the last unit (or
+  // finds none left) re-arms.
+  uint32_t Left = SlowReadBudget.load(std::memory_order_relaxed);
+  if (Left != 0) {
+    SlowReadBudget.store(--Left, std::memory_order_relaxed);
+    if (Left != 0)
+      return;
+  }
+  // Only a forced window is timed, and only a spent budget reads its
+  // clock: inside the window the budget refills, past it the window ends.
+  int64_t Until = ForcedUntil.load(std::memory_order_relaxed);
   if (Until != 0) {
-    // Inside or past an inhibit window. Probing the clock on every
-    // slow-path read would tax exactly the mixed workloads the inhibit
-    // window is parking bias for, so sample: one clock read per 64
-    // slow-path acquisitions per thread. Re-arming is only delayed by
-    // those ~64 reads once the window expires.
-    static thread_local uint32_t Probe = 0;
-    if ((++Probe & 63) != 0)
+    if (static_cast<int64_t>(nowNs()) < Until) {
+      SlowReadBudget.store(RearmAfterSlowReads, std::memory_order_relaxed);
       return;
-    if (static_cast<int64_t>(nowNs()) < Until)
-      return;
+    }
+    ForcedUntil.store(0, std::memory_order_relaxed);
   }
   RBias.store(true, std::memory_order_release);
 }
@@ -246,7 +245,7 @@ void BravoRwLock::maybeReenableBias() {
 BravoSnapshot BravoRwLock::snapshot() const {
   BravoSnapshot S;
   S.RBias = RBias.load(std::memory_order_relaxed);
-  int64_t Until = InhibitUntil.load(std::memory_order_relaxed);
+  int64_t Until = ForcedUntil.load(std::memory_order_relaxed);
   if (Until != 0) {
     int64_t Remaining = Until - static_cast<int64_t>(nowNs());
     S.InhibitRemainingNs = Remaining > 0 ? Remaining : 0;
@@ -261,7 +260,7 @@ bool BravoRwLock::restore(const BravoSnapshot &S) {
   if (S.InhibitRemainingNs < 0)
     return false; // no transition produces a negative remainder
   Revocations.store(S.Revocations, std::memory_order_relaxed);
-  InhibitUntil.store(
+  ForcedUntil.store(
       S.InhibitRemainingNs > 0
           ? static_cast<int64_t>(nowNs()) + S.InhibitRemainingNs
           : 0,

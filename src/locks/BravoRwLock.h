@@ -22,10 +22,14 @@
 ///     reader's slot or the reader observes the cleared bias and falls back
 ///     to the underlying read path.
 ///   - The *adaptive policy* (the flat-path degradation idea from Fissile
-///     Locks): each revocation's scan cost is measured and bias stays off
-///     for InhibitMultiplier x that duration, so write-heavy locks converge
-///     to the plain underlying lock instead of paying a table scan per
-///     write.
+///     Locks, counted in reads instead of time): a revocation leaves bias
+///     off until RearmAfterSlowReads slow-path reads of *this* lock have
+///     gone by, and the last of them re-arms it. With R reads per write a
+///     share 16/(16+R) of reads run slow, a lock with fewer than ~16 reads
+///     per write revokes on under half its writes, and a pure write storm
+///     never re-arms, so write-heavy locks converge to the plain underlying
+///     lock instead of paying a table scan per write. Neither side reads a
+///     clock, except inside a watchdog's forced window (forceRevokeBias).
 ///
 /// Slot placement differs from the original's single global array: the
 /// table is partitioned by NUMA node (support/NumaTopology.h), and a
@@ -60,10 +64,6 @@ struct BravoConfig {
   /// Enable the biased reader fast path at all; false degenerates to the
   /// underlying lock (the A/B baseline in benches).
   bool BiasEnabled = true;
-  /// After a revocation costing C ns, bias stays disabled for
-  /// InhibitMultiplier * C ns (the paper's N; it bounds the worst-case
-  /// slowdown of write-heavy locks to roughly 1/N).
-  uint32_t InhibitMultiplier = 9;
 };
 
 /// Process-wide visible-readers table, partitioned by NUMA node.
@@ -122,9 +122,10 @@ private:
 
 /// A quiesced copy of one BravoRwLock's adaptive state: the learned bias
 /// state a warm image stores (image/Resources.h writeBravoState). The
-/// inhibit deadline is serialized as *remaining* nanoseconds: the absolute
-/// steady_clock deadline is meaningless in another process (or even later
-/// in this one).
+/// forced-window deadline is serialized as *remaining* nanoseconds: the
+/// absolute steady_clock deadline is meaningless in another process (or
+/// even later in this one). The slow-read budget is not stored; it is
+/// refilled by the next revocation.
 struct BravoSnapshot {
   bool RBias = false;
   int64_t InhibitRemainingNs = 0;
@@ -163,24 +164,26 @@ public:
 
   /// Watchdog recovery hook (src/resilience/Watchdog.h): revokes reader
   /// bias from *outside* the write path and inhibits re-arming for
-  /// \p InhibitNs. Unlike the writer's revokeBias() this does NOT drain
-  /// published readers — the caller is a monitor thread diagnosing a
-  /// stall, and spinning it on the very reader it suspects is stuck
-  /// would hang the watchdog too. Mutual exclusion is preserved by a
-  /// deferred drain: the flag set here makes the *next* writer (which
-  /// must exclude those readers anyway) run the revocation scan even
-  /// though it observes RBias already clear. New readers observe the
-  /// cleared bias and queue on the underlying lock immediately.
+  /// \p InhibitNs (a forced window: slow reads that spend their budget
+  /// inside it refill it instead of re-arming). Unlike the writer's
+  /// revokeBias() this does NOT drain published readers — the caller is a
+  /// monitor thread diagnosing a stall, and spinning it on the very reader
+  /// it suspects is stuck would hang the watchdog too. Mutual exclusion is
+  /// preserved by a deferred drain: the flag set here makes the *next*
+  /// writer (which must exclude those readers anyway) run the revocation
+  /// scan even though it observes RBias already clear. New readers observe
+  /// the cleared bias and queue on the underlying lock immediately.
   void forceRevokeBias(int64_t InhibitNs = 50'000'000);
 
-  /// Captures bias/inhibit/revocation state for a warm image. Quiesce
-  /// first (no reader or writer in flight) for a consistent capture.
+  /// Captures bias/forced-window/revocation state for a warm image.
+  /// Quiesce first (no reader or writer in flight) for a consistent
+  /// capture.
   BravoSnapshot snapshot() const;
 
   /// Rehydrates from \p S. Requires quiescence; refuses (returns false,
   /// stays cold) while any read hold is visible, since a published biased
   /// reader must never coexist with a restore-time bias flip. Bias is
-  /// re-enabled only when this lock's config allows it, and the inhibit
+  /// re-enabled only when this lock's config allows it, and a forced
   /// window resumes with the image's remaining duration from *now*.
   bool restore(const BravoSnapshot &S);
 
@@ -204,19 +207,34 @@ public:
   static const char *protocolName() { return "BravoRW"; }
 
 private:
+  /// Slow-path reads a revocation leaves bias off for; the last re-arms.
+  static constexpr uint32_t RearmAfterSlowReads = 16;
+
   void revokeBias();
   void maybeReenableBias();
 
-  BravoConfig Config;
+  // Layout: slow readers CAS the underlying State on every read, so the
+  // budget they count down sits beside it, on a line they already own;
+  // the fields every reader loads (Config, RBias) start a line of their
+  // own, which only revocation and re-arm write.
+
+  /// Slow-path reads left before bias re-arms. Refilled by revokeBias()
+  /// under the write hold; counted down by slow readers under their read
+  /// hold with a relaxed load and store, so concurrent readers may lose a
+  /// decrement, which only delays the re-arm.
+  std::atomic<uint32_t> SlowReadBudget{0};
   ReadWriteLock Underlying;
+  alignas(CacheLineSize) BravoConfig Config;
   std::atomic<bool> RBias{false};
   /// Set by forceRevokeBias(): published biased readers may still be
   /// draining, so the next writer must run the table scan even though it
   /// sees RBias already clear. Consumed (exchange to false) under the
   /// underlying write lock, so at most one writer pays the scan.
   std::atomic<bool> ForcedDrainPending{false};
-  /// steady_clock ns deadline before which bias must not be re-enabled.
-  std::atomic<int64_t> InhibitUntil{0};
+  /// steady_clock ns deadline of a forced window (forceRevokeBias or a
+  /// restored image); 0 when none is pending. Read only by a slow read
+  /// that has spent the budget.
+  std::atomic<int64_t> ForcedUntil{0};
   std::atomic<uint64_t> Revocations{0};
 };
 

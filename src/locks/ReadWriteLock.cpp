@@ -43,18 +43,21 @@ uint64_t ReadWriteLock::selfOwner() const {
   return static_cast<uint64_t>(ThreadRegistry::current().slot()) + 1;
 }
 
+bool ReadWriteLock::readBlocked(uint64_t S, uint64_t Self,
+                                bool Reentrant) const {
+  if (ownerOf(S) == Self)
+    return false; // downgrade: the writer reads under its own write hold
+  return ownerOf(S) != 0 ||
+         (!Reentrant && WaitingWriters.load(std::memory_order_seq_cst) != 0);
+}
+
 void ReadWriteLock::readLock() {
   ThreadState &TS = ThreadRegistry::current();
   uint64_t Self = selfOwner();
   ReadHold *Held = holdOn(this);
   for (int Spin = 0;; ++Spin) {
     uint64_t S = State.load(std::memory_order_relaxed);
-    bool OwnWrite = ownerOf(S) == Self;
-    bool Reentrant = Held != nullptr;
-    bool WriterBlocked = ownerOf(S) != 0 && !OwnWrite;
-    bool WriterGate = WaitingWriters.load(std::memory_order_relaxed) != 0 &&
-                      !OwnWrite && !Reentrant;
-    if (!WriterBlocked && !WriterGate) {
+    if (!readBlocked(S, Self, Held != nullptr)) {
       SOLERO_CHECK(readersOf(S) != ReaderMask,
                    "reader count saturated: 2^16-1 concurrent read holds "
                    "would overflow into the writer-recursion bits");
@@ -73,9 +76,14 @@ void ReadWriteLock::readLock() {
       cpuRelax();
       continue;
     }
-    // Park until the writer side drains.
+    // Park until the writer side drains: announce, then recheck under Mu
+    // (the Dekker pairing with writeUnlock documented on ParkedReaders).
     std::unique_lock<std::mutex> L(Mu);
-    ReadersCv.wait_for(L, Ctx.config().ParkMicros);
+    ParkedReaders.fetch_add(1, std::memory_order_seq_cst);
+    if (readBlocked(State.load(std::memory_order_seq_cst), Self,
+                    Held != nullptr))
+      ReadersCv.wait_for(L, Ctx.config().ParkMicros);
+    ParkedReaders.fetch_sub(1, std::memory_order_relaxed);
     Spin = 0;
   }
 }
@@ -89,11 +97,12 @@ void ReadWriteLock::readUnlock() {
     Holds.pop_back();
   }
   ++TS.Counters.AtomicRmws;
-  uint64_t Prev = State.fetch_sub(1, std::memory_order_release);
+  // seq_cst: the releasing half of the park pairing (see ParkedReaders).
+  uint64_t Prev = State.fetch_sub(1, std::memory_order_seq_cst);
   SOLERO_CHECK(readersOf(Prev) != 0,
                "readUnlock underflowed the shared reader count");
   if (readersOf(Prev) == 1 &&
-      WaitingWriters.load(std::memory_order_acquire) != 0) {
+      WaitingWriters.load(std::memory_order_seq_cst) != 0) {
     std::lock_guard<std::mutex> L(Mu);
     WritersCv.notify_all();
   }
@@ -120,7 +129,7 @@ void ReadWriteLock::writeLock() {
       return;
   }
   // Contended: announce, then spin/park until the state drains to zero.
-  WaitingWriters.fetch_add(1, std::memory_order_acq_rel);
+  WaitingWriters.fetch_add(1, std::memory_order_seq_cst);
   for (int Spin = 0;; ++Spin) {
     S = State.load(std::memory_order_relaxed);
     if (S == 0) {
@@ -128,7 +137,7 @@ void ReadWriteLock::writeLock() {
       if (State.compare_exchange_weak(S, Self << OwnerShift,
                                       std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
-        WaitingWriters.fetch_sub(1, std::memory_order_acq_rel);
+        WaitingWriters.fetch_sub(1, std::memory_order_seq_cst);
         return;
       }
       continue;
@@ -137,8 +146,10 @@ void ReadWriteLock::writeLock() {
       cpuRelax();
       continue;
     }
+    // Announced above; recheck under Mu before waiting (see ParkedReaders).
     std::unique_lock<std::mutex> L(Mu);
-    WritersCv.wait_for(L, Ctx.config().ParkMicros);
+    if (State.load(std::memory_order_seq_cst) != 0)
+      WritersCv.wait_for(L, Ctx.config().ParkMicros);
     Spin = 0;
   }
 }
@@ -158,9 +169,14 @@ void ReadWriteLock::writeUnlock() {
   ++TS.Counters.AtomicRmws;
   uint64_t Expected = S;
   bool Ok = State.compare_exchange_strong(Expected, S & ReaderMask,
-                                          std::memory_order_acq_rel,
+                                          std::memory_order_seq_cst,
                                           std::memory_order_relaxed);
   SOLERO_CHECK(Ok, "write-held state changed by another thread");
+  // Wake only announced parkers; the seq_cst CAS above and these loads are
+  // the releasing half of the pairing documented on ParkedReaders.
+  if (ParkedReaders.load(std::memory_order_seq_cst) == 0 &&
+      WaitingWriters.load(std::memory_order_seq_cst) == 0)
+    return;
   std::lock_guard<std::mutex> L(Mu);
   ReadersCv.notify_all();
   WritersCv.notify_all();

@@ -90,9 +90,24 @@ private:
 
   uint64_t selfOwner() const;
 
+  /// True if a fresh read acquisition by \p Self must wait in state \p S:
+  /// another thread owns write, or (unless the hold is reentrant) a writer
+  /// is waiting and new readers do not barge past it.
+  bool readBlocked(uint64_t S, uint64_t Self, bool Reentrant) const;
+
   RuntimeContext &Ctx;
   std::atomic<uint64_t> State{0};
   std::atomic<uint32_t> WaitingWriters{0};
+  /// Readers between announcing a park and leaving it. writeUnlock takes
+  /// Mu and notifies only while this or WaitingWriters is nonzero. The
+  /// pairing is Dekker's, seq_cst on both sides: a parker announces
+  /// itself (ParkedReaders or WaitingWriters increment), then rechecks
+  /// State under Mu before waiting; the releaser changes State (CAS or
+  /// fetch_sub), then loads the announcements. Either the parker sees the
+  /// released State and does not wait, or the releaser sees the
+  /// announcement and notifies under Mu, which the parker holds until it
+  /// is inside the wait.
+  std::atomic<uint32_t> ParkedReaders{0};
 
   std::mutex Mu;
   std::condition_variable ReadersCv;

@@ -77,17 +77,18 @@ public:
     uint64_t Acc = S.State.Sink;
     for (int I = 0; I < Profile.WorkCycles; ++I)
       Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-    S.State.Sink = static_cast<int64_t>(Acc);
+    S.State.Sink = Acc;
 
     int64_t Key = static_cast<int64_t>(
         Rng.nextBounded(static_cast<uint64_t>(KeySpace)));
     if (Rng.nextBounded(10000) < Profile.ReadOnlyPerMyriad) {
       S.State.Sink += S.Lock.read([&](ReadGuard &) {
         auto V = S.Table.get(Key);
-        return V ? *V : 0;
+        return V ? static_cast<uint64_t>(*V) : 0;
       });
     } else {
-      S.Lock.write([&] { S.Table.put(Key, S.State.Sink); });
+      S.Lock.write(
+          [&] { S.Table.put(Key, static_cast<int64_t>(S.State.Sink)); });
     }
   }
 
@@ -102,7 +103,7 @@ private:
     JavaHashMap<int64_t, int64_t> Table;
     struct {
       Xoshiro256StarStar Rng{0};
-      int64_t Sink = 0;
+      uint64_t Sink = 0; ///< unsigned: the running sum wraps, never overflows
     } State;
   };
 

@@ -85,7 +85,7 @@ public:
     if (Params.NestedWritePercent != 0 &&
         Rng.nextPercent(Params.NestedWritePercent)) {
       auto V = M.getWithNestedWrite(Key);
-      State.Sink += V.has_value() ? *V : 0;
+      State.Sink += V.has_value() ? static_cast<uint64_t>(*V) : 0;
       return;
     }
     if (Params.YieldInReadSection) {
@@ -94,12 +94,13 @@ public:
         osYield(); // widen the section across a scheduling boundary
         G.checkpoint();
         auto W = Map.get(Key);
-        return (V ? *V : 0) + (W ? *W : 0);
+        return (V ? static_cast<uint64_t>(*V) : 0) +
+               (W ? static_cast<uint64_t>(*W) : 0);
       });
       return;
     }
     auto V = M.get(Key);
-    State.Sink += V.has_value() ? *V : 0;
+    State.Sink += V.has_value() ? static_cast<uint64_t>(*V) : 0;
   }
 
   /// Verifies every map still holds the full keyspace (puts only overwrite).
@@ -114,7 +115,9 @@ public:
 private:
   struct ThreadLocalState {
     Xoshiro256StarStar Rng{0};
-    int64_t Sink = 0; ///< keeps the read value observable
+    /// Keeps the read value observable; unsigned so the running sum of
+    /// 63-bit values wraps instead of overflowing.
+    uint64_t Sink = 0;
   };
 
   void prefill() {

@@ -6,7 +6,7 @@
 ///
 /// The BRAVO layer's contract on top of ReadWriteLock: same reentrancy and
 /// downgrade semantics in every bias state, writer revocation that really
-/// waits out published readers, the adaptive inhibit window, and the cost
+/// waits out published readers, the slow-read re-arm policy, and the cost
 /// model (biased reads perform no shared-state RMW).
 ///
 //===----------------------------------------------------------------------===//
@@ -150,23 +150,58 @@ TEST_F(BravoRwLockTest, DowngradeWriteToRead) {
 }
 
 TEST_F(BravoRwLockTest, WriteStormKeepsBiasDisabled) {
-  // With a huge inhibit multiplier one revocation parks the bias for the
-  // rest of the test, so a write-heavy phase pays the table scan exactly
-  // once and then runs at plain-RWLock speed.
-  BravoConfig Cfg;
-  Cfg.InhibitMultiplier = 1u << 30;
-  BravoRwLock Stormy(Ctx, Cfg);
-  Stormy.readLock();
-  Stormy.readUnlock();
-  ASSERT_TRUE(Stormy.readBiased());
+  // Only slow-path reads re-arm the bias, so a pure write storm pays the
+  // table scan once and then runs at plain-RWLock speed.
+  armBias();
   for (int I = 0; I < 200; ++I) {
-    Stormy.writeLock();
-    Stormy.writeUnlock();
-    Stormy.readLock(); // slow path; must not re-arm inside the window
-    Stormy.readUnlock();
+    L.writeLock();
+    L.writeUnlock();
   }
-  EXPECT_EQ(Stormy.revocations(), 1u);
-  EXPECT_FALSE(Stormy.readBiased());
+  EXPECT_EQ(L.revocations(), 1u);
+  EXPECT_FALSE(L.readBiased());
+
+  // Alternating write and read: a revocation leaves bias off for 16 slow
+  // reads, so at most one write in 16 pays the scan.
+  BravoRwLock Mixed(Ctx);
+  Mixed.readLock();
+  Mixed.readUnlock();
+  ASSERT_TRUE(Mixed.readBiased());
+  for (int I = 0; I < 200; ++I) {
+    Mixed.writeLock();
+    Mixed.writeUnlock();
+    Mixed.readLock();
+    Mixed.readUnlock();
+  }
+  EXPECT_GT(Mixed.revocations(), 1u); // the bias does come back
+  EXPECT_LE(Mixed.revocations(), (200u + 15) / 16);
+}
+
+TEST_F(BravoRwLockTest, BiasReArmsOnSixteenthSlowReadOfTheSameLock) {
+  // A forced window keeps Other's reads on the slow path throughout; they
+  // run on this thread between L's, and must not spend L's budget.
+  BravoRwLock Other(Ctx);
+  Other.forceRevokeBias(10'000'000'000); // 10 s
+  armBias();
+  for (uint64_t Round = 1; Round <= 2; ++Round) {
+    L.writeLock(); // revokes: bias off for the next 16 slow reads
+    L.writeUnlock();
+    ASSERT_EQ(L.revocations(), Round);
+    for (int I = 1; I <= 15; ++I) {
+      L.readLock();
+      L.readUnlock();
+      EXPECT_FALSE(L.readBiased()) << "re-armed after slow read " << I;
+      for (int J = 0; J < 40; ++J) {
+        Other.readLock();
+        Other.readUnlock();
+      }
+    }
+    L.readLock(); // the 16th slow read re-arms
+    L.readUnlock();
+    EXPECT_TRUE(L.readBiased());
+  }
+  EXPECT_FALSE(Other.readBiased());
+  EXPECT_EQ(L.readerCount(), 0u);
+  EXPECT_EQ(Other.readerCount(), 0u);
 }
 
 TEST_F(BravoRwLockTest, BiasDisabledConfigDegeneratesToUnderlying) {

@@ -224,3 +224,55 @@ TEST_F(ReadWriteLockTest, OneThreadHoldsManyLocksReleasedOutOfOrder) {
     EXPECT_EQ(Locks[I]->readerCount(), 0u);
   }
 }
+
+TEST_F(ReadWriteLockTest, ParkedWaitersWakeOnRelease) {
+  // With a 10 s park timeout only the releaser's notify can wake a parked
+  // waiter in time. writeUnlock notifies only announced parkers, so a
+  // parker the gate missed would sleep out the timeout and trip the guard.
+  RuntimeConfig C = quietConfig();
+  C.ParkMicros = std::chrono::seconds(10);
+  RuntimeContext SlowParkCtx(C);
+  ReadWriteLock P(SlowParkCtx);
+
+  auto ExpectWokenBy = [&](const char *What, auto Hold, auto Release,
+                           auto Acquire) {
+    Hold();
+    std::atomic<bool> Acquired{false};
+    std::thread Waiter([&] {
+      Acquire();
+      Acquired.store(true);
+    });
+    // Long enough to exhaust the 64-spin budget and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(Acquired.load()) << What;
+    {
+      DeadlockGuard G(What, std::chrono::seconds(1));
+      Release();
+      Waiter.join();
+    }
+    EXPECT_TRUE(Acquired.load()) << What;
+  };
+
+  ExpectWokenBy(
+      "reader parked behind a writer missed writeUnlock's wake-up",
+      [&] { P.writeLock(); }, [&] { P.writeUnlock(); },
+      [&] {
+        P.readLock();
+        P.readUnlock();
+      });
+  ExpectWokenBy(
+      "writer parked behind a writer missed writeUnlock's wake-up",
+      [&] { P.writeLock(); }, [&] { P.writeUnlock(); },
+      [&] {
+        P.writeLock();
+        P.writeUnlock();
+      });
+  ExpectWokenBy(
+      "writer parked behind a reader missed readUnlock's wake-up",
+      [&] { P.readLock(); }, [&] { P.readUnlock(); },
+      [&] {
+        P.writeLock();
+        P.writeUnlock();
+      });
+  EXPECT_EQ(P.readerCount(), 0u);
+}

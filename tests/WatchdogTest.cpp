@@ -152,9 +152,9 @@ TEST(Watchdog, BiasRevocationLivelockForcesInhibit) {
   SpeculationWatchdog Wd(testConfig());
   Wd.watchBravo(&B); // baselines the revocation counter at registration
 
-  // Ping-pong: re-arm the bias (restore is the deterministic handle; the
-  // organic 1/64-probe re-enable would race the test), then revoke it
-  // with a writer. Nine rounds beats RevocationsPerPoll = 8.
+  // Ping-pong: re-arm the bias (restore is the direct handle; an organic
+  // re-arm would take 16 slow reads per round), then revoke it with a
+  // writer. Nine rounds beats RevocationsPerPoll = 8.
   for (int I = 0; I < 9; ++I) {
     BravoSnapshot S;
     S.RBias = true;
@@ -179,8 +179,9 @@ TEST(Watchdog, BiasRevocationLivelockForcesInhibit) {
   EXPECT_EQ(Wd.diagnostics()[0].Kind,
             PathologyKind::BiasRevocationLivelock);
 
-  // forceRevokeBias armed a 10s inhibit: repeated reads (which probe the
-  // re-enable clock) must NOT re-arm the bias inside the test.
+  // forceRevokeBias armed a 10s forced window: slow reads that spend their
+  // budget read the clock and refill it, so they must NOT re-arm the bias
+  // inside the test.
   for (int I = 0; I < 200; ++I) {
     B.readLock();
     B.readUnlock();
