@@ -19,8 +19,7 @@
 #include "collections/SynchronizedMap.h"
 #include "workloads/MapWorkload.h"
 
-#include <malloc.h>
-#include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace solero {
@@ -76,31 +75,30 @@ TrialRunner makeMapRunner(BenchEnv &Env, const char *Name, int Threads,
                      }};
 }
 
-/// Bytes of heap in use in the main malloc arena, which is the one the
-/// main thread allocates from while a bench sets up.
-inline std::size_t mainArenaBytesInUse() {
-  struct mallinfo2 M = mallinfo2();
-  return M.uordblks + M.hblkhd;
-}
+/// The lock a policy holds behind a pointer (RwPolicy and BravoRwPolicy
+/// model the java.util.concurrent indirection), or void when the policy
+/// embeds its lock.
+template <typename Policy> struct IndirectLock {
+  using type = void;
+};
+template <> struct IndirectLock<RwPolicy> {
+  using type = ReadWriteLock;
+};
+template <> struct IndirectLock<BravoRwPolicy> {
+  using type = BravoRwLock;
+};
 
-/// Bytes one lock of \p Policy costs: sizeof the policy plus the heap its
-/// constructor allocates, in allocator chunks (a lock held behind a pointer
-/// is charged there). Reading the allocator's statistics leaves the
-/// allocator, and so the measured runs, untouched. mallinfo2 counts chunks
-/// parked in the thread's cache (at most 7 per size class) as in use, so
-/// the first Batch constructions drain that cache and are not measured;
-/// the next Batch come from the arena and are averaged. The unmeasured
-/// ones also absorb the thread's lazily built runtime state.
-template <typename Policy> double bytesPerLock(RuntimeContext &Ctx) {
-  constexpr std::size_t Batch = 16;
-  std::vector<std::optional<Policy>> Locks(2 * Batch);
-  for (std::size_t I = 0; I < Batch; ++I)
-    Locks[I].emplace(Ctx);
-  const double Before = static_cast<double>(mainArenaBytesInUse());
-  for (std::size_t I = Batch; I < 2 * Batch; ++I)
-    Locks[I].emplace(Ctx);
-  const double Heap = static_cast<double>(mainArenaBytesInUse()) - Before;
-  return static_cast<double>(sizeof(Policy)) + Heap / Batch;
+/// Bytes one lock of \p Policy costs: sizeof the policy plus sizeof the
+/// lock it holds behind a pointer. No shipped lock allocates in its
+/// constructor, so this is the whole per-lock footprint, and unlike an
+/// allocator-statistics delta it does not charge the slack of an
+/// over-aligned allocation (which varies with heap state).
+template <typename Policy> constexpr double bytesPerLock() {
+  using Held = typename IndirectLock<Policy>::type;
+  if constexpr (std::is_void_v<Held>)
+    return sizeof(Policy);
+  else
+    return sizeof(Policy) + sizeof(Held);
 }
 
 /// One scaling variant of the Figure 12/13 map benches: Lock, RWLock,
@@ -118,10 +116,10 @@ void runScalingVariant(BenchEnv &Env, JsonReport &Json, const char *VariantId,
                   "SOLERO ops/s", "SOLERO norm", "RWLock rmw/op",
                   "BRAVO rmw/op", "SOLERO rmw/op", "SOLERO fail%"});
   // In runner order: Lock, RWLock, BravoRW, SOLERO.
-  const double Bytes[] = {bytesPerLock<TasukiPolicy>(*Env.Ctx),
-                          bytesPerLock<RwPolicy>(*Env.Ctx),
-                          bytesPerLock<BravoRwPolicy>(*Env.Ctx),
-                          bytesPerLock<SoleroPolicy>(*Env.Ctx)};
+  const double Bytes[] = {bytesPerLock<TasukiPolicy>(),
+                          bytesPerLock<RwPolicy>(),
+                          bytesPerLock<BravoRwPolicy>(),
+                          bytesPerLock<SoleroPolicy>()};
   std::printf("bytes per lock: Lock %.0f, RWLock %.0f, BRAVO %.0f, "
               "SOLERO %.0f\n", Bytes[0], Bytes[1], Bytes[2], Bytes[3]);
   double LockBase = 0;

@@ -9,6 +9,9 @@
 #   PROTOCOLS   protocols that must each have at least one row
 #   EXTRA_KEYS  additional JSON keys that must appear (KV tail-latency rows)
 #   EXTRA_ARGS  additional CLI flags (the chaos smoke's --chaos --seed=N)
+#   SAME_PER_PROTOCOL  keys whose value must be identical in every row of
+#               one protocol (a per-lock property such as bytes_per_lock
+#               must not change between variants or thread counts)
 #   FORBIDDEN   a regex that must match neither the JSON nor stdout (taken
 #               whole, not split on commas)
 if(NOT DEFINED PROTOCOLS)
@@ -57,6 +60,28 @@ foreach(KEY ${EXTRA_KEYS})
     message(FATAL_ERROR "${JSON} is missing required key \"${KEY}\"")
   endif()
 endforeach()
+# Per-protocol constants: every row of a protocol carries the same value.
+if(DEFINED SAME_PER_PROTOCOL)
+  string(REPLACE "," ";" SAME_PER_PROTOCOL "${SAME_PER_PROTOCOL}")
+  foreach(KEY ${SAME_PER_PROTOCOL})
+    foreach(PROTO ${PROTOCOLS})
+      string(REGEX MATCHALL
+             "\"protocol\": \"${PROTO}\"[^}]*\"${KEY}\": [^,}]+"
+             HITS "${DOC}")
+      set(VALUES "")
+      foreach(HIT ${HITS})
+        string(REGEX REPLACE ".*\"${KEY}\": " "" V "${HIT}")
+        list(APPEND VALUES "${V}")
+      endforeach()
+      list(REMOVE_DUPLICATES VALUES)
+      list(LENGTH VALUES N)
+      if(NOT N EQUAL 1)
+        message(FATAL_ERROR "${JSON}: ${PROTO} rows disagree on \"${KEY}\" "
+                            "(values: ${VALUES})")
+      endif()
+    endforeach()
+  endforeach()
+endif()
 # No row may carry a malformed (empty/nan/inf) throughput.
 foreach(BAD "\"ops_per_sec\": }" "\"ops_per_sec\": ," "nan" "inf")
   string(FIND "${DOC}" "${BAD}" POS)

@@ -17,6 +17,7 @@
 #include "core/SoleroLock.h"
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
+#include "kv/ShardTable.h"
 #include "locks/BravoRwLock.h"
 #include "locks/ReadWriteLock.h"
 #include "support/Backoff.h"
@@ -286,6 +287,21 @@ void BM_EpochPinUnpin(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_EpochPinUnpin);
+
+/// One SCAN pass over a KV shard sized like perfbench's 64K-key workloads:
+/// 8192 slots, about half live, keys scattered by the table's own hash.
+void BM_ShardTableScan(benchmark::State &State) {
+  EpochReclaimer R;
+  {
+    kv::ShardTable T(R, 8192);
+    for (uint64_t K = 0; K < 4150; ++K)
+      T.put(K * 0x9e3779b97f4a7c15ULL >> 24, K);
+    for (auto _ : State)
+      benchmark::DoNotOptimize(T.scan());
+  }
+  R.drainAll();
+}
+BENCHMARK(BM_ShardTableScan);
 
 void BM_SpeculationCheckpointIdle(benchmark::State &State) {
   for (auto _ : State)

@@ -34,6 +34,7 @@
 #ifndef SOLERO_KV_SHARDTABLE_H
 #define SOLERO_KV_SHARDTABLE_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -111,25 +112,34 @@ public:
     return {};
   }
 
+  /// Slots scanned between two speculation check points.
+  static constexpr uint32_t ScanBlock = 64;
+
   /// One pass over every slot: live-entry count and payload sum. Inside a
   /// validated section the count matches liveCount() exactly — the
-  /// scan-consistency oracle the torture harness checks. Polls the
-  /// speculation checkpoint per slot so an optimistic scan overlapping a
-  /// mutator aborts promptly instead of completing a doomed pass.
+  /// scan-consistency oracle the torture harness checks. A slot is live
+  /// exactly when its cell is non-null (empty slots and tombstones both
+  /// hold null, and put() publishes the cell before the key), so the body
+  /// loads only the cell and reads the payload through it or through a
+  /// zero cell: no branch on slot contents. The speculation checkpoint is
+  /// polled once per ScanBlock slots, with a forced validation every 4096
+  /// slots, so an optimistic scan overlapping a mutator aborts within one
+  /// block of the event instead of completing a doomed pass.
   ScanStats scan() const {
     const Table *T = Current.load(std::memory_order_acquire);
+    const Slot *Slots = T->Slots.data();
+    const std::size_t Cap = T->Capacity;
     ScanStats St;
     uint32_t Steps = 0;
-    for (std::size_t I = 0; I < T->Capacity; ++I) {
-      speculationLoopGuard(Steps);
-      const Slot &S = T->Slots[I];
-      if (S.KeyPlusOne.load(std::memory_order_acquire) == 0)
-        continue;
-      const ValueCell *C = S.Cell.load(std::memory_order_acquire);
-      if (!C)
-        continue; // tombstone
-      ++St.LiveEntries;
-      St.ValueSum += C->Payload.load(std::memory_order_relaxed);
+    for (std::size_t Base = 0; Base < Cap; Base += ScanBlock) {
+      speculationLoopGuard(Steps, ScanBlock);
+      const std::size_t End = std::min(Base + ScanBlock, Cap);
+      for (std::size_t I = Base; I < End; ++I) {
+        const ValueCell *C = Slots[I].Cell.load(std::memory_order_acquire);
+        St.LiveEntries += C != nullptr;
+        St.ValueSum +=
+            (C ? C : &ZeroCell)->Payload.load(std::memory_order_relaxed);
+      }
     }
     return St;
   }
@@ -233,6 +243,9 @@ private:
     // value-initialization zeroes Payload at slab creation instead.
     std::atomic<uint64_t> Payload;
   };
+
+  /// What scan() reads for a slot that holds no cell.
+  static inline const ValueCell ZeroCell{};
 
   struct Slot {
     /// 0 = never used; otherwise key+1 (tombstones keep their key so probe

@@ -62,14 +62,15 @@ inline void validateAllSpeculativeReads() {
 }
 
 /// Loop-bound helper for guest data-structure traversals. Call once per
-/// iteration with a caller-owned step counter: it polls the async event,
+/// iteration with a caller-owned step counter (or once per block of
+/// \p Iterations iterations, a divisor of 4096): it polls the async event,
 /// and every 4096 steps force-validates all in-flight speculation. This is
 /// the safety net that bounds traversals chasing inconsistent pointers
 /// even when the async event bus is disabled; a non-speculative traversal
 /// passes through unharmed no matter how long it runs.
-inline void speculationLoopGuard(uint32_t &Steps) {
+inline void speculationLoopGuard(uint32_t &Steps, uint32_t Iterations = 1) {
   speculationCheckpoint();
-  if (++Steps >= 4096) {
+  if ((Steps += Iterations) >= 4096) {
     Steps = 0;
     validateAllSpeculativeReads();
   }

@@ -7,7 +7,9 @@
 /// kv/ShardedKvStore.h across the whole lock-policy portfolio: point ops
 /// and scan consistency are typed over every policy; the resize-under-
 /// readers and tombstone-reuse regressions run under SOLERO, the policy
-/// whose optimistic readers make them dangerous.
+/// whose optimistic readers make them dangerous. The ShardTable tests pin
+/// scan()'s count and sum at capacities below, at and above one scan block,
+/// and its speculation check points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -167,4 +170,125 @@ TEST(ShardedKvStore, ResizeUnderConcurrentReadersLosesNothing) {
     EXPECT_EQ(*V, ValueTag | K);
   }
   EXPECT_TRUE(Store.quiesce());
+}
+
+namespace {
+
+/// A bare shard table plus the entries it should hold.
+struct TableWithModel {
+  EpochReclaimer Epoch;
+  ShardTable Table;
+  std::map<uint64_t, uint64_t> Model;
+
+  explicit TableWithModel(std::size_t Cap) : Table(Epoch, Cap) {}
+  ~TableWithModel() { Epoch.drainAll(); }
+
+  void put(uint64_t K, uint64_t V) {
+    EXPECT_EQ(Table.put(K, V), Model.count(K) == 0);
+    Model[K] = V;
+  }
+  void remove(uint64_t K) { EXPECT_EQ(Table.remove(K), Model.erase(K) == 1); }
+
+  /// scan() must count and sum exactly what the model holds.
+  void expectScanMatches() const {
+    uint64_t Sum = 0;
+    for (const auto &[K, V] : Model)
+      Sum += V;
+    ShardTable::ScanStats St = Table.scan();
+    EXPECT_EQ(St.LiveEntries, Model.size());
+    EXPECT_EQ(St.LiveEntries, Table.liveCount());
+    EXPECT_EQ(St.ValueSum, Sum);
+  }
+};
+
+} // namespace
+
+// Capacities 16 and 32 are smaller than one scan block, 64 is exactly one,
+// 8192 is many blocks and crosses the forced-validation stride. Each table
+// holds live entries, tombstones and a tombstone revived by put().
+TEST(ShardTable, ScanCountsExactlyAtEveryCapacity) {
+  for (std::size_t Cap : {16u, 32u, 64u, 8192u}) {
+    SCOPED_TRACE(Cap);
+    TableWithModel T(Cap);
+    T.expectScanMatches();           // empty
+    const uint64_t N = Cap * 6 / 10; // under the 70% resize trigger
+    for (uint64_t K = 0; K < N; ++K)
+      T.put(K * 7919, 1000 + K);
+    for (uint64_t K = 0; K < N; K += 3)
+      T.remove(K * 7919);
+    T.put(0, 42);    // revive the first tombstone
+    T.put(7919, 43); // overwrite in place
+    EXPECT_EQ(T.Table.capacity(), Cap);
+    EXPECT_EQ(T.Table.resizeCount(), 0u);
+    T.expectScanMatches();
+  }
+}
+
+// Delete/insert churn with fresh keys fills a table with tombstones until
+// put() purges them at the same capacity; scan() must read the rehashed
+// array as exactly as the original.
+TEST(ShardTable, ScanCountsExactlyAfterSameSizePurge) {
+  TableWithModel T(64);
+  for (uint64_t K = 0; K < 20; ++K)
+    T.put(K, K * 3);
+  T.expectScanMatches();
+  uint64_t Next = 20;
+  for (int Cycle = 0; Cycle < 200 && T.Table.resizeCount() == 0; ++Cycle) {
+    T.remove(Next - 20);
+    T.put(Next, Next * 3);
+    ++Next;
+  }
+  ASSERT_GT(T.Table.resizeCount(), 0u) << "churn never purged tombstones";
+  EXPECT_EQ(T.Table.capacity(), 64u);
+  T.expectScanMatches();
+  T.remove(Next - 1); // a tombstone in the rehashed array
+  T.expectScanMatches();
+  T.put(Next - 1, 7); // revived
+  T.expectScanMatches();
+}
+
+namespace {
+
+/// Runs scan() inside a fake speculative section whose read record a
+/// "writer" has already invalidated, with the poll flag raised or clear.
+/// Returns whether scan() threw SpeculationFault for that record.
+bool scanThrowsForInvalidatedRecord(std::size_t Cap, bool PollRaised) {
+  TableWithModel T(Cap);
+  for (uint64_t K = 0; K < Cap / 2; ++K)
+    T.put(K, K);
+  ThreadState &TS = ThreadRegistry::current();
+  ObjectHeader H;
+  H.word().store(0x100);
+  TS.pushRead(H, 0x100);
+  H.word().store(0x200);
+  TS.PollFlag.store(PollRaised ? 1 : 0);
+  const uint64_t AbortsBefore = TS.Counters.AsyncAborts;
+  bool Thrown = false;
+  try {
+    (void)T.Table.scan();
+  } catch (SpeculationFault &F) {
+    Thrown = true;
+    EXPECT_EQ(F.Depth, 0u);
+  }
+  TS.popRead();
+  EXPECT_EQ(TS.PollFlag.load(), 0u) << "the raised event was not consumed";
+  EXPECT_EQ(TS.Counters.AsyncAborts - AbortsBefore, Thrown ? 1u : 0u);
+  return Thrown;
+}
+
+} // namespace
+
+// A raised poll flag is seen at the first block's check point, whatever
+// the table's size (16 slots is smaller than one block).
+TEST(ShardTable, ScanThrowsAtFirstCheckpointWhenPollRaised) {
+  EXPECT_TRUE(scanThrowsForInvalidatedRecord(16, /*PollRaised=*/true));
+  EXPECT_TRUE(scanThrowsForInvalidatedRecord(8192, /*PollRaised=*/true));
+}
+
+// With no event raised, the forced validation every 4096 slots still
+// catches a doomed pass over an 8192-slot table; a 2048-slot pass ends
+// before the first forced validation and completes.
+TEST(ShardTable, ScanForcesValidationEvery4096Slots) {
+  EXPECT_TRUE(scanThrowsForInvalidatedRecord(8192, /*PollRaised=*/false));
+  EXPECT_FALSE(scanThrowsForInvalidatedRecord(2048, /*PollRaised=*/false));
 }
