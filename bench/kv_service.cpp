@@ -75,18 +75,12 @@ using namespace solero;
 
 namespace {
 
-/// Spins/sleeps until \p TargetNs. Coarse sleep for long gaps, yield for
-/// medium ones (the 1-vCPU container needs other workers to run), relax
-/// for the final stretch.
+/// Waits until \p TargetNs: yields while more than 10 us remain (other
+/// workers sharing the CPU get to run), relaxes for the final stretch. No
+/// sleep: a timed sleep's late wake-up would be charged as queueing delay.
 void waitUntil(uint64_t TargetNs) {
-  for (;;) {
-    uint64_t Now = nowNs();
-    if (Now >= TargetNs)
-      return;
-    uint64_t Gap = TargetNs - Now;
-    if (Gap > 300000)
-      std::this_thread::sleep_for(std::chrono::nanoseconds(Gap - 150000));
-    else if (Gap > 10000)
+  for (uint64_t Now = nowNs(); Now < TargetNs; Now = nowNs()) {
+    if (TargetNs - Now > 10000)
       osYield();
     else
       cpuRelax();

@@ -24,10 +24,13 @@
 ///     probe loops are bounded by the immutable capacity of the table
 ///     snapshot they loaded, and any value read during an overlap is
 ///     discarded by the protocol's end-of-section validation.
-///   - A resized-away slot array is retired through the EpochReclaimer and
-///     value cells come from a TypeStablePool, so a stale optimistic
-///     reader always dereferences well-formed memory (DESIGN.md
-///     substitution table: this pair stands in for the JVM's GC).
+///   - Value cells return to the shard's TypeStablePool at remove(). Only
+///     put(), in a write section on this shard, reuses one: lock-holding
+///     readers exclude that section, optimistic ones validate after it (as
+///     for put()'s in-place overwrite). Resized-away slot arrays are really
+///     deleted, so they retire through the EpochReclaimer. A stale reader
+///     always dereferences well-formed memory (DESIGN.md §3: this pair
+///     stands in for the JVM's GC).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +90,6 @@ public:
   ShardTable(const ShardTable &) = delete;
   ShardTable &operator=(const ShardTable &) = delete;
 
-  /// The owner must drain the epoch domain before destruction (retired
-  /// tables hold deleters pointing at this shard's pool).
   ~ShardTable() { delete Current.load(std::memory_order_acquire); }
 
   // --- Read side (read-only section + epoch pin) -------------------------
@@ -114,6 +115,9 @@ public:
 
   /// Slots scanned between two speculation check points.
   static constexpr uint32_t ScanBlock = 64;
+  /// Retiring a slot array this big (128 KiB, glibc's mmap threshold) runs
+  /// an epoch collection; freeing smaller ones early returns no RSS.
+  static constexpr std::size_t CollectSlots = 8192;
 
   /// One pass over every slot: live-entry count and payload sum. Inside a
   /// validated section the count matches liveCount() exactly — the
@@ -175,7 +179,7 @@ public:
         }
         // Tombstone of this very key: revive it.
         S.Cell.store(newCell(Value), std::memory_order_release);
-        Live.fetch_add(1, std::memory_order_relaxed);
+        addLive(1);
         --Tombstones;
         return true;
       }
@@ -188,7 +192,7 @@ public:
         // rejected by its end-of-section validation anyway.
         Target.Cell.store(newCell(Value), std::memory_order_release);
         Target.KeyPlusOne.store(Needle, std::memory_order_release);
-        Live.fetch_add(1, std::memory_order_relaxed);
+        addLive(1);
         return true;
       }
       if (!FirstTombstone &&
@@ -199,7 +203,7 @@ public:
     return false;
   }
 
-  /// Removes \p Key, leaving a tombstone. Returns true when it was live.
+  /// Tombstones \p Key and recycles its cell. True when it was live.
   bool remove(uint64_t Key) {
     Table *T = Current.load(std::memory_order_relaxed);
     const uint64_t Needle = Key + 1;
@@ -214,9 +218,9 @@ public:
         if (!C)
           return false; // already a tombstone
         S.Cell.store(nullptr, std::memory_order_release);
-        Live.fetch_sub(1, std::memory_order_relaxed);
+        addLive(-1);
         ++Tombstones;
-        retireCell(C);
+        Pool.deallocate(C);
         return true;
       }
     }
@@ -232,7 +236,7 @@ public:
     return Resizes.load(std::memory_order_relaxed);
   }
   /// Value cells currently handed out by this shard's pool. Equal to
-  /// liveCount() once the epoch domain has drained — the leak oracle.
+  /// liveCount() outside a write section — the leak oracle.
   std::size_t poolLiveCells() const { return Pool.liveCount(); }
 
 private:
@@ -273,14 +277,10 @@ private:
     return C;
   }
 
-  void retireCell(ValueCell *C) {
-    Epoch.retire(
-        C,
-        [](void *Obj, void *Arg) {
-          static_cast<TypeStablePool<ValueCell> *>(Arg)->deallocate(
-              static_cast<ValueCell *>(Obj));
-        },
-        &Pool);
+  /// Writers are serialized by the shard lock: no locked RMW needed.
+  void addLive(std::ptrdiff_t Delta) {
+    Live.store(Live.load(std::memory_order_relaxed) + Delta,
+               std::memory_order_relaxed);
   }
 
   /// Builds a rehashed table (doubled when live entries justify it, same
@@ -313,9 +313,13 @@ private:
     Tombstones = 0;
     Resizes.fetch_add(1, std::memory_order_relaxed);
     Current.store(New, std::memory_order_release);
+    const bool Collect = Old->Capacity >= CollectSlots;
     Epoch.retire(
         Old, [](void *Obj, void *) { delete static_cast<Table *>(Obj); },
         nullptr);
+    // The store's only retires: too few to reach the periodic collection.
+    if (Collect)
+      Epoch.collect();
     return New;
   }
 

@@ -62,12 +62,6 @@ public:
           Ctx, Epoch, Config.InitialShardCapacity));
   }
 
-  ~ShardedKvStore() {
-    // Retired tables/cells hold deleters into the shards' pools; drain
-    // them while every shard is still alive.
-    Epoch.drainAll();
-  }
-
   unsigned shardCount() const {
     return static_cast<unsigned>(Shards.size());
   }
@@ -148,7 +142,7 @@ public:
 
   /// Drains deferred reclamation (no reader may be pinned) and checks the
   /// leak oracle: every shard's pool must have exactly one live cell per
-  /// live entry. False means a lost or duplicated retire — the
+  /// live entry. False means a lost or duplicated cell return — the
   /// tombstone-reuse torture signature.
   bool quiesce() {
     Epoch.drainAll();

@@ -17,8 +17,9 @@
 /// guarantees such a pointer still refers to a valid object. Type-stable
 /// slots give the same guarantee here: a stale pointer always points at a
 /// well-formed T (with possibly garbage field values, which end-of-section
-/// validation rejects). Combined with mm/EpochReclaimer.h, recycling is
-/// additionally delayed until no speculative reader can still see the slot.
+/// validation rejects). A slot may be reused under such a reader only where
+/// its validation sees the reuse (kv/ShardTable.h); elsewhere
+/// mm/EpochReclaimer.h delays recycling until no reader can see the slot.
 ///
 //===----------------------------------------------------------------------===//
 

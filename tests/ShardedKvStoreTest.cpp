@@ -7,7 +7,8 @@
 /// kv/ShardedKvStore.h across the whole lock-policy portfolio: point ops
 /// and scan consistency are typed over every policy; the resize-under-
 /// readers and tombstone-reuse regressions run under SOLERO, the policy
-/// whose optimistic readers make them dangerous. The ShardTable tests pin
+/// whose optimistic readers make them dangerous, and cell recycling at
+/// remove() runs under both optimistic policies. The ShardTable tests pin
 /// scan()'s count and sum at capacities below, at and above one scan block,
 /// and its speculation check points.
 ///
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -170,6 +172,110 @@ TEST(ShardedKvStore, ResizeUnderConcurrentReadersLosesNothing) {
     EXPECT_EQ(*V, ValueTag | K);
   }
   EXPECT_TRUE(Store.quiesce());
+}
+
+// remove() hands its cell straight back to the shard's pool: after churn
+// that never resizes, the pool matches the live count and the epoch domain
+// holds nothing, with no quiesce().
+TYPED_TEST(ShardedKvStoreTest, RemoveRecyclesCellsWithoutEpochRetires) {
+  ShardedKvStore<TypeParam> Store(this->Ctx, KvStoreConfig{4, 1024});
+  for (uint64_t K = 0; K < 200; ++K)
+    Store.put(K, K);
+  for (uint64_t K = 0; K < 2000; ++K) {
+    EXPECT_TRUE(Store.remove(K % 200));
+    EXPECT_TRUE(Store.put(K % 200, K));
+  }
+  for (uint64_t K = 0; K < 200; K += 3)
+    EXPECT_TRUE(Store.remove(K));
+  ASSERT_EQ(Store.totalResizes(), 0u) << "churn resized; the check is moot";
+  for (unsigned S = 0; S < Store.shardCount(); ++S)
+    EXPECT_EQ(Store.shardTable(S).poolLiveCells(),
+              Store.shardTable(S).liveCount())
+        << "shard " << S;
+  EXPECT_EQ(Store.epoch().pendingCount(), 0u);
+}
+
+namespace {
+
+template <typename Policy>
+class ShardedKvStoreRecycleTest : public ::testing::Test {
+protected:
+  RuntimeContext Ctx;
+};
+
+using OptimisticPolicies = ::testing::Types<SoleroPolicy, SeqLockPolicy>;
+
+} // namespace
+
+TYPED_TEST_SUITE(ShardedKvStoreRecycleTest, OptimisticPolicies);
+
+// Optimistic readers GET key A while the writer moves A's cell to key B
+// and back: remove(A) frees the cell, put(B) takes it from the pool (LIFO)
+// and writes B's value into it, put(A) revives A with a fresh cell and
+// remove(B) frees the old one again. A reader still holding A's old cell
+// reads B's value; validation must discard it, so every GET returns A's
+// tag or a miss.
+TYPED_TEST(ShardedKvStoreRecycleTest, ReadersNeverSeeARecycledCellsNewValue) {
+  ShardedKvStore<TypeParam> Store(this->Ctx, KvStoreConfig{1, 64});
+  constexpr uint64_t A = 1, B = 2;
+  constexpr uint64_t TagA = 0xA000000000000000ull;
+  constexpr uint64_t TagB = 0xB000000000000000ull;
+  constexpr uint64_t TagMask = 0xF000000000000000ull;
+  Store.put(A, TagA);
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Hits{0}, BadReads{0};
+
+  std::vector<std::thread> Readers;
+  for (int R = 0; R < 2; ++R)
+    Readers.emplace_back([&] {
+      while (!Done.load(std::memory_order_acquire)) {
+        auto V = Store.get(A);
+        if (!V.has_value())
+          continue;
+        Hits.fetch_add(1, std::memory_order_relaxed);
+        if ((*V & TagMask) != TagA)
+          BadReads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  // Hand the cell over for at least 500 ms: a stale read needs a reader to
+  // stall between its cell and payload loads, which is rare (on a 4-CPU
+  // host, a copy whose SeqLock readers skip validation failed 4 runs in 6).
+  // Go on until the readers have found A often enough to matter.
+  const auto Until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  uint64_t I = 0;
+  while (++I <= 20000 || std::chrono::steady_clock::now() < Until ||
+         (Hits.load(std::memory_order_relaxed) < 1000 && I <= 5000000)) {
+    if (!Store.remove(A) || !Store.put(B, TagB | I) ||
+        !Store.put(A, TagA | I) || !Store.remove(B)) {
+      ADD_FAILURE() << "hand-over " << I << " found the wrong key state";
+      break;
+    }
+  }
+  Done.store(true, std::memory_order_release);
+  for (auto &T : Readers)
+    T.join();
+
+  EXPECT_EQ(BadReads.load(), 0u);
+  EXPECT_GE(Hits.load(), 1000u) << "readers rarely found A";
+  EXPECT_EQ(Store.totalResizes(), 0u);
+  EXPECT_EQ(*Store.get(A), TagA | (I - 1));
+  EXPECT_TRUE(Store.quiesce());
+}
+
+// With no cell retires left, big slot arrays run the epoch collection
+// themselves. Growing one shard from 64 to 65536 slots retires ten arrays;
+// the three of 8192 slots or more each advance the epoch once, and three
+// advances free everything retired before the first, so at most the last
+// few arrays stay pending without drainAll().
+TEST(ShardedKvStore, GrowingPastCollectSlotsFreesRetiredArrays) {
+  RuntimeContext Ctx;
+  ShardedKvStore<SoleroPolicy> Store(Ctx, KvStoreConfig{1, 64});
+  for (uint64_t K = 0; Store.shardTable(0).capacity() < 65536; ++K)
+    Store.put(K, K);
+  EXPECT_EQ(Store.totalResizes(), 10u);
+  EXPECT_LE(Store.epoch().pendingCount(), 3u);
 }
 
 namespace {
