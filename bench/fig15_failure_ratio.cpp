@@ -84,12 +84,12 @@ int runAdaptiveSweep(BenchEnv &Env) {
   std::printf("\n--- TreeMap reads, %d threads; nested-write%% = share of "
               "read sections with a\nnested same-lock write (speculation "
               "deterministically fails there). Controller\ncolumns are "
-              "Adaptive-SOLERO's: thr/dis/rep/ren = throttle/disable/"
-              "re-probe/re-enable\ntransition counts ---\n",
+              "Adaptive-SOLERO's: dis/rep/ren = disable/re-probe/"
+              "re-enable\ntransition counts ---\n",
               Threads);
   TablePrinter T({"nested-write%", "SOLERO ops/s", "Adaptive ops/s",
                   "speedup", "fail% fixed", "fail% adpt", "skip%",
-                  "thr/dis/rep/ren"});
+                  "dis/rep/ren"});
   for (unsigned Nw : {0u, 5u, 20u, 50u, 100u}) {
     // Both runners instantiate the same SoleroPolicy templates and differ
     // only in the runtime config, so the speedup column measures the

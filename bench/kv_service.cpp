@@ -390,7 +390,7 @@ constexpr std::size_t RetryQueueCap = 64;
 struct alignas(CacheLineSize) ChaosWorker {
   ChaosWorker(const ChaosSoakParams &CS, uint64_t BackoffSeed)
       : Budget(CS.RetryPerSec, CS.RetryBurst, nowNs()),
-        Backoff(64, 8192, JitterMode::FullJitter, BackoffSeed) {}
+        Backoff(64, 8192, BackoffSeed) {}
 
   struct RetryEntry {
     uint64_t Key, AtNs;

@@ -20,7 +20,6 @@
 #include "kv/ShardTable.h"
 #include "locks/BravoRwLock.h"
 #include "locks/ReadWriteLock.h"
-#include "support/Backoff.h"
 #include "locks/SeqLock.h"
 #include "locks/TasukiLock.h"
 #include "mm/EpochReclaimer.h"
@@ -119,9 +118,8 @@ void BM_SoleroAdaptiveDisabledReadSection(benchmark::State &State) {
   SoleroLock L(ctx(), Cfg);
   ObjectHeader H;
   ThreadState &TS = ThreadRegistry::current();
-  ElisionController::Decision D{true, 1, ElisionState::Elide};
   while (L.controller().state() != ElisionState::Disabled)
-    L.controller().recordOutcome(TS, D, 1, 1);
+    L.controller().recordOutcome(TS, ElisionState::Elide, /*Failed=*/true);
   for (auto _ : State)
     benchmark::DoNotOptimize(
         L.synchronizedReadOnly(H, [](ReadGuard &) { return 0; }));
@@ -137,23 +135,14 @@ void BM_ElisionControllerRoundTrip(benchmark::State &State) {
   Cfg.Enabled = true;
   ElisionController C(Cfg);
   ThreadState &TS = ThreadRegistry::current();
-  C.recordOutcome(TS, {true, 1, ElisionState::Elide}, 1, 1); // arm
+  C.recordOutcome(TS, ElisionState::Elide, /*Failed=*/true); // arm
   for (auto _ : State) {
-    ElisionController::Decision D = C.beginRead(TS);
-    C.recordOutcome(TS, D, 1, 0);
-    benchmark::DoNotOptimize(D);
+    ElisionState St = C.beginRead(TS);
+    C.recordOutcome(TS, St, /*Failed=*/false);
+    benchmark::DoNotOptimize(St);
   }
 }
 BENCHMARK(BM_ElisionControllerRoundTrip);
-
-void BM_ExpBackoffFirstPause(benchmark::State &State) {
-  ExpBackoff B(16, 512);
-  for (auto _ : State) {
-    B.pause();
-    B.reset();
-  }
-}
-BENCHMARK(BM_ExpBackoffFirstPause);
 
 void BM_SoleroReadMostlyNoWrite(benchmark::State &State) {
   SoleroLock L(ctx());

@@ -125,8 +125,8 @@ int main(int Argc, char **Argv) {
     // attempts and policy transitions of Adaptive-SOLERO on map traffic
     // with a dialled share of misclassified-read-only sections (nested
     // same-lock write inside the read section — the deterministic failure
-    // source, see fig15 --adaptive). thr/dis/rep/ren = throttle / disable /
-    // re-probe / re-enable transition counts.
+    // source, see fig15 --adaptive). dis/rep/ren = disable / re-probe /
+    // re-enable transition counts.
     RuntimeConfig Patient;
     Patient.Tiers = SpinTiers{64, 32, 1 << 14};
     Env.Ctx = std::make_unique<RuntimeContext>(Patient);
@@ -136,7 +136,7 @@ int main(int Argc, char **Argv) {
                 "threads) ---\n",
                 Threads);
     TablePrinter A({"workload", "ops/s", "fail%", "spec-skip%", "attempts",
-                    "throttled", "reprobe", "thr/dis/rep/ren"});
+                    "reprobe", "dis/rep/ren"});
     const struct {
       const char *Name;
       unsigned NestedWritePercent;
@@ -150,7 +150,6 @@ int main(int Argc, char **Argv) {
                 TablePrinter::percent(R.failureRatio(), 1),
                 TablePrinter::percent(R.skipRatio(), 1),
                 std::to_string(R.Delta.ElisionAttempts.value()),
-                std::to_string(R.Delta.ThrottledAttempts.value()),
                 std::to_string(R.Delta.ReprobeAttempts.value()),
                 R.controllerTransitions()});
     }

@@ -12,8 +12,6 @@ const char *solero::elisionStateName(ElisionState S) {
   switch (S) {
   case ElisionState::Elide:
     return "Elide";
-  case ElisionState::Throttled:
-    return "Throttled";
   case ElisionState::Disabled:
     return "Disabled";
   case ElisionState::Reprobe:
@@ -34,7 +32,9 @@ ElisionSnapshot ElisionController::snapshot() const {
 }
 
 bool ElisionController::restore(const ElisionSnapshot &S) {
-  if (S.State > static_cast<uint32_t>(ElisionState::Reprobe))
+  auto St = static_cast<ElisionState>(S.State);
+  if (St != ElisionState::Elide && St != ElisionState::Disabled &&
+      St != ElisionState::Reprobe)
     return false; // unknown state: unusable image, stay cold
   // Failures > Attempts cannot arise from any transition sequence; treat
   // it as corruption rather than guessing which counter to trust.
@@ -47,7 +47,6 @@ bool ElisionController::restore(const ElisionSnapshot &S) {
     Window = Cfg.DisabledSkipMax;
   int32_t Skip = S.Skip;
   int32_t ReprobeLeft = S.ReprobeLeft;
-  auto St = static_cast<ElisionState>(S.State);
   if (St == ElisionState::Disabled && Skip < 1)
     // A budget captured mid-exhaustion (or negative from the chunked
     // draw-down) would flip to Reprobe on the first section with an empty
@@ -72,12 +71,10 @@ bool ElisionController::restore(const ElisionSnapshot &S) {
   return true;
 }
 
-ElisionController::Decision
-ElisionController::beginReadSlow(ThreadState &TS, ElisionState St) {
-  if (St == ElisionState::Throttled)
-    return {true, 1, ElisionState::Throttled};
+ElisionState ElisionController::beginReadSlow(ThreadState &TS,
+                                             ElisionState St) {
   if (St == ElisionState::Reprobe)
-    return {true, 1, ElisionState::Reprobe};
+    return St;
   // Disabled: consume the thread's local allowance if it has one; the
   // shared budget is drawn down SkipChunk sections at a time so the skip
   // path, like the clean path, costs no atomic RMW per section. (A stale
@@ -85,7 +82,7 @@ ElisionController::beginReadSlow(ThreadState &TS, ElisionState St) {
   // — the re-probe cadence is approximate by design.)
   if (TS.ElisionCtrlKey == this && TS.ElisionSkipAllowance != 0) {
     --TS.ElisionSkipAllowance;
-    return {false, 0, ElisionState::Disabled};
+    return ElisionState::Disabled;
   }
   if (Stats.Skip.fetch_sub(static_cast<int32_t>(SkipChunk),
                            std::memory_order_relaxed) <=
@@ -100,36 +97,28 @@ ElisionController::beginReadSlow(ThreadState &TS, ElisionState St) {
     Stats.State.store(static_cast<uint32_t>(ElisionState::Reprobe),
                       std::memory_order_relaxed);
     ++TS.Counters.CtrlReprobes;
-    return {true, 1, ElisionState::Reprobe};
+    return ElisionState::Reprobe;
   }
   TS.ElisionCtrlKey = this;
   TS.ElisionSkipAllowance = SkipChunk - 1;
-  return {false, 0, ElisionState::Disabled};
+  return ElisionState::Disabled;
 }
 
-void ElisionController::recordShared(ThreadState &TS, const Decision &D,
-                                     uint32_t Attempts, uint32_t Failures) {
-  uint32_t A = Stats.Attempts.fetch_add(Attempts, std::memory_order_relaxed) +
-               Attempts;
-  uint32_t F = Stats.Failures.load(std::memory_order_relaxed);
-  if (Failures != 0)
-    F = Stats.Failures.fetch_add(Failures, std::memory_order_relaxed) +
-        Failures;
-  if (D.St == ElisionState::Reprobe) {
-    if (Stats.ReprobeLeft.fetch_sub(1, std::memory_order_relaxed) <= 1)
-      finishReprobe(TS, A, F);
-    return;
-  }
-  if (A >= Cfg.WindowAttempts)
-    evaluateWindow(TS, A, F);
+void ElisionController::recordReprobe(ThreadState &TS, bool Failed) {
+  uint32_t A = Stats.Attempts.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint32_t F = Failed
+                   ? Stats.Failures.fetch_add(1, std::memory_order_relaxed) + 1
+                   : Stats.Failures.load(std::memory_order_relaxed);
+  if (Stats.ReprobeLeft.fetch_sub(1, std::memory_order_relaxed) <= 1)
+    finishReprobe(TS, A, F);
 }
 
 void ElisionController::evaluateLocalWindow(ThreadState &TS) {
   uint32_t A = TS.LocalElisionAttempts;
   uint32_t F = TS.LocalElisionFailures;
   if (state() != ElisionState::Elide) {
-    // The shared machine moved on (another thread throttled or disabled
-    // meanwhile): this window was collected under stale Elide decisions.
+    // The shared machine moved on (another thread disabled meanwhile):
+    // this window was collected under stale Elide decisions.
     TS.LocalElisionAttempts = 0;
     TS.LocalElisionFailures = 0;
     return;
@@ -137,19 +126,6 @@ void ElisionController::evaluateLocalWindow(ThreadState &TS) {
   double Ratio = static_cast<double>(F) / static_cast<double>(A);
   if (Ratio >= Cfg.DisableRatio) {
     disable(TS);
-    TS.LocalElisionAttempts = 0;
-    TS.LocalElisionFailures = 0;
-    return;
-  }
-  if (Ratio >= Cfg.ThrottleRatio) {
-    // Hand this thread's decayed window to the shared counters: Throttled
-    // sections (and the re-enable decision they feed) account there, with
-    // every thread's evidence pooled.
-    Stats.Attempts.store(A / 2, std::memory_order_relaxed);
-    Stats.Failures.store(F / 2, std::memory_order_relaxed);
-    Stats.State.store(static_cast<uint32_t>(ElisionState::Throttled),
-                      std::memory_order_relaxed);
-    ++TS.Counters.CtrlThrottles;
     TS.LocalElisionAttempts = 0;
     TS.LocalElisionFailures = 0;
     return;
@@ -157,41 +133,10 @@ void ElisionController::evaluateLocalWindow(ThreadState &TS) {
   if (Ratio <= Cfg.ReenableRatio)
     // Healthy window: forget the skip-budget growth of past bad phases.
     Stats.SkipWindow.store(Cfg.DisabledSkipMin, std::memory_order_relaxed);
-  // Exponential decay, same halving rule as the shared window.
+  // Exponential decay: halve both counters so each new window carries
+  // twice the weight of the one before it.
   TS.LocalElisionAttempts = A / 2;
   TS.LocalElisionFailures = F / 2;
-}
-
-void ElisionController::evaluateWindow(ThreadState &TS, uint32_t A,
-                                       uint32_t F) {
-  ElisionState St = state();
-  if (St == ElisionState::Disabled || St == ElisionState::Reprobe)
-    return; // raced with a disable/re-probe transition; their windows rule
-  double Ratio = static_cast<double>(F) / static_cast<double>(A);
-  if (Ratio >= Cfg.DisableRatio) {
-    disable(TS);
-    return;
-  }
-  if (Ratio >= Cfg.ThrottleRatio) {
-    if (St == ElisionState::Elide) {
-      Stats.State.store(static_cast<uint32_t>(ElisionState::Throttled),
-                        std::memory_order_relaxed);
-      ++TS.Counters.CtrlThrottles;
-    }
-  } else if (Ratio <= Cfg.ReenableRatio) {
-    // Healthy window: forget the skip-budget growth of past bad phases.
-    Stats.SkipWindow.store(Cfg.DisabledSkipMin, std::memory_order_relaxed);
-    if (St == ElisionState::Throttled) {
-      Stats.State.store(static_cast<uint32_t>(ElisionState::Elide),
-                        std::memory_order_relaxed);
-      ++TS.Counters.CtrlReenables;
-    }
-  }
-  // Exponential decay: halve both counters so each new window carries
-  // twice the weight of the one before it. Concurrent recordOutcome
-  // increments lost to these stores only shorten the next window.
-  Stats.Attempts.store(A / 2, std::memory_order_relaxed);
-  Stats.Failures.store(F / 2, std::memory_order_relaxed);
 }
 
 void ElisionController::finishReprobe(ThreadState &TS, uint32_t A,

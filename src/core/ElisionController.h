@@ -8,16 +8,16 @@
 /// \file
 /// Failure-ratio-driven speculation policy for SOLERO read-only sections.
 ///
-/// The paper's fixed policy (MaxSpecAttempts = 1, unconditional fallback)
-/// makes elision pure overhead in write-heavy phases: every read section
-/// pays the entry fence, a doomed speculative execution, and the real
-/// acquisition on top (Figure 15 shows the win collapsing as the failure
-/// ratio rises). Following the adaptive-bias recipe of BRAVO and Fissile
-/// locks (Dice & Kogan), each lock carries an ElisionStats cell — relaxed
-/// counters over an exponentially decayed window — and a four-state policy:
+/// The paper's fixed policy (one speculative attempt, unconditional
+/// fallback) makes elision pure overhead in write-heavy phases: every read
+/// section pays the entry fence, a doomed speculative execution, and the
+/// real acquisition on top (Figure 15 shows the win collapsing as the
+/// failure ratio rises). Following the adaptive-bias recipe of BRAVO and
+/// Fissile locks (Dice & Kogan), each lock carries an ElisionStats cell —
+/// relaxed counters over an exponentially decayed window — and one on/off
+/// decision with a re-probe:
 ///
-///   Elide      speculate with bounded backoff retries (the fast path)
-///   Throttled  decayed failure ratio is elevated: one attempt, no retries
+///   Elide      speculate once, fall back on failure (the fast path)
 ///   Disabled   ratio crossed the disable threshold: skip speculation and
 ///              acquire the lock directly for the next N sections, N
 ///              growing exponentially while re-probes keep failing
@@ -27,8 +27,8 @@
 /// Elide-state windows live in the calling thread (ThreadState) and the
 /// Disabled skip budget is drawn down in chunks into a thread-local
 /// allowance, so neither per-section fast path performs an atomic RMW;
-/// the shared cell holds the state machine plus the pooled windows of the
-/// rare states (Throttled, Reprobe). Everything shared is relaxed atomics
+/// the shared cell holds the state machine plus the pooled Reprobe
+/// sample window. Everything shared is relaxed atomics
 /// and every transition tolerates races: a stale read at worst delays a
 /// transition by one window, never breaks the protocol (the decision only
 /// selects between two correct paths).
@@ -46,11 +46,10 @@
 
 namespace solero {
 
-/// Controller policy states. Numeric values are stable: they index the
-/// stats tables printed by the benches.
+/// Controller policy states. Numeric values are stable: warm images store
+/// them. 1 belonged to a retired state and is rejected on restore.
 enum class ElisionState : uint32_t {
   Elide = 0,
-  Throttled = 1,
   Disabled = 2,
   Reprobe = 3,
 };
@@ -63,34 +62,19 @@ const char *elisionStateName(ElisionState S);
 /// Elide and pays only the window bookkeeping.
 struct AdaptiveElisionConfig {
   /// Master switch. Off reproduces the paper's fixed policy exactly
-  /// (SoleroConfig::MaxSpecAttempts, immediate fallback, no bookkeeping).
+  /// (one attempt, immediate fallback, no bookkeeping).
   bool Enabled = false;
   /// Speculative attempts per decay window; when the window fills, the
   /// failure ratio is evaluated and both counters are halved so old
   /// history fades with an exponential half-life.
   uint32_t WindowAttempts = 64;
-  /// Decayed failure ratio at or above which Elide degrades to Throttled.
-  /// Keep the [ReenableRatio, ThrottleRatio] hysteresis band narrow: a
-  /// steady failure ratio *inside* the band random-walks between the two
-  /// states on window sampling noise (64-sample windows have a ratio
-  /// sigma of ~0.05 at these levels), paying the Throttled state's shared
-  /// accounting for nothing.
-  double ThrottleRatio = 0.35;
   /// Ratio at or above which speculation is disabled outright. Breakeven
   /// sits where a doomed speculative execution per failure outweighs the
   /// speculation wins of the successes forfeited by skipping.
   double DisableRatio = 0.60;
-  /// Ratio at or below which Throttled recovers to Elide, and a Reprobe
-  /// window is judged healthy enough to re-enable elision.
+  /// Ratio at or below which a Reprobe window is judged healthy enough to
+  /// re-enable elision, and an Elide window resets the skip-budget growth.
   double ReenableRatio = 0.25;
-  /// Adaptive MaxSpecAttempts while in Elide (with ExpBackoff pauses
-  /// between attempts). Defaults to the paper's single attempt: retries
-  /// only pay off when failures are transient (a writer caught mid-flight
-  /// whom the backoff pause lets finish), so raising this is an opt-in for
-  /// preemption-heavy environments. Deterministically conflicting sections
-  /// make every retry a pure loss — Throttled exists to claw the budget
-  /// back to 1 when the failure ratio says that is happening.
-  int ElideMaxAttempts = 1;
   /// Speculative samples taken in Reprobe before judging the ratio.
   uint32_t ReprobeWindow = 8;
   /// Read sections that skip speculation after the first disable; doubles
@@ -98,9 +82,6 @@ struct AdaptiveElisionConfig {
   /// backoff at the policy level).
   uint32_t DisabledSkipMin = 64;
   uint32_t DisabledSkipMax = 8192;
-  /// ExpBackoff bounds (cpuRelax iterations) between speculation retries.
-  int BackoffSpinsMin = 16;
-  int BackoffSpinsMax = 512;
 };
 
 /// A quiesced copy of one controller's stats cell: the learned policy state
@@ -131,25 +112,21 @@ public:
     Stats.SkipWindow.store(Cfg.DisabledSkipMin, std::memory_order_relaxed);
   }
 
-  /// What the elision engine should do for one read-only section.
-  struct Decision {
-    bool Speculate;  ///< false: go straight to real acquisition
-    int MaxAttempts; ///< speculation budget for this section
-    ElisionState St; ///< state the decision was made in
-  };
-
-  /// Consulted once per read-only section entry. In Disabled this burns
-  /// one unit of skip budget and flips to Reprobe when it runs out. Only
-  /// the Elide check lives inline; everything else is off the fast path.
-  Decision beginRead(ThreadState &TS) {
+  /// Consulted once per read-only section entry; returns the state the
+  /// section's decision is made in. Disabled means skip speculation and
+  /// acquire for real; Elide and Reprobe mean speculate once. In Disabled
+  /// this burns one unit of skip budget and flips to Reprobe when it runs
+  /// out. Only the Elide check lives inline; everything else is off the
+  /// fast path.
+  ElisionState beginRead(ThreadState &TS) {
     ElisionState St = state();
     if (St == ElisionState::Elide) [[likely]]
-      return {true, Cfg.ElideMaxAttempts, ElisionState::Elide};
+      return St;
     return beginReadSlow(TS, St);
   }
 
-  /// Reports one section's speculation outcome: \p Attempts executions of
-  /// which \p Failures failed validation. Evaluates the window when full.
+  /// Reports one speculative execution's outcome, made under the state
+  /// \p St that beginRead returned. Evaluates the window when full.
   ///
   /// Elide-state windows are thread-local: the hot path performs no
   /// atomic RMW, and the shared cell is not touched at all. The armed
@@ -159,14 +136,13 @@ public:
   /// thread judges transitions on its own decayed window, so threads
   /// react independently; that skew is benign because the shared state
   /// machine every beginRead consults is still the single source of
-  /// policy. Throttled and Reprobe sections account in the shared cell —
-  /// they are rare by construction, and their windows (which gate
-  /// re-enabling) must pool all threads' evidence.
-  void recordOutcome(ThreadState &TS, const Decision &D, uint32_t Attempts,
-                     uint32_t Failures) {
-    if (D.St == ElisionState::Elide) [[likely]] {
+  /// policy. Reprobe sections account in the shared cell — they are rare
+  /// by construction, and their window (which gates re-enabling) must pool
+  /// all threads' evidence.
+  void recordOutcome(ThreadState &TS, ElisionState St, bool Failed) {
+    if (St == ElisionState::Elide) [[likely]] {
       if (TS.ElisionCtrlKey != this) {
-        if (Failures == 0) [[likely]]
+        if (!Failed) [[likely]]
           return; // not armed for this lock; nothing worth tracking yet
         // First failure this thread has seen on this lock: arm, starting
         // a fresh window. Whatever the fields held belonged to another
@@ -176,15 +152,13 @@ public:
         TS.LocalElisionFailures = 0;
         TS.ElisionSkipAllowance = 0;
       }
-      TS.LocalElisionAttempts += Attempts;
-      TS.LocalElisionFailures += Failures;
+      ++TS.LocalElisionAttempts;
+      TS.LocalElisionFailures += Failed ? 1 : 0;
       if (TS.LocalElisionAttempts >= Cfg.WindowAttempts)
         evaluateLocalWindow(TS);
       return;
     }
-    if (Attempts == 0)
-      return; // section ran while already holding the lock: no signal
-    recordShared(TS, D, Attempts, Failures);
+    recordReprobe(TS, Failed);
   }
 
   ElisionState state() const {
@@ -234,11 +208,9 @@ public:
   bool restore(const ElisionSnapshot &S);
 
 private:
-  Decision beginReadSlow(ThreadState &TS, ElisionState St);
-  void recordShared(ThreadState &TS, const Decision &D, uint32_t Attempts,
-                    uint32_t Failures);
+  ElisionState beginReadSlow(ThreadState &TS, ElisionState St);
+  void recordReprobe(ThreadState &TS, bool Failed);
   void evaluateLocalWindow(ThreadState &TS);
-  void evaluateWindow(ThreadState &TS, uint32_t A, uint32_t F);
   void finishReprobe(ThreadState &TS, uint32_t A, uint32_t F);
   void disable(ThreadState &TS);
 

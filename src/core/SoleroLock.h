@@ -40,7 +40,6 @@
 #include "runtime/SpeculationFault.h"
 #include "stress/InjectionPoint.h"
 #include "support/Assert.h"
-#include "support/Backoff.h"
 #include "support/ScopeExit.h"
 
 namespace solero {
@@ -63,11 +62,6 @@ struct SoleroConfig {
   /// writing protocol (Figure 10's overhead bound).
   bool ElideReadOnly = true;
   BarrierMode Barriers = BarrierMode::Correct;
-  /// Failed speculative executions before falling back to real
-  /// acquisition. The paper's implementation falls back after one failure.
-  /// Only consulted when the adaptive controller is off; when it is on,
-  /// the per-state budgets in Adaptive govern instead.
-  int MaxSpecAttempts = 1;
   /// Failure-ratio-driven speculation policy (core/ElisionController.h).
   /// Disabled by default: the paper's fixed policy applies.
   AdaptiveElisionConfig Adaptive;
@@ -262,15 +256,11 @@ public:
       ReadGuard G(/*Speculative=*/false);
       return F(G);
     }
-    using R = std::invoke_result_t<Fn &, ReadGuard &>;
-    if constexpr (std::is_void_v<R>) {
-      (void)runElided(H, TS, [&](ReadGuard &G) {
-        F(G);
-        return Unit{};
-      });
-    } else {
-      return runElided(H, TS, std::forward<Fn>(F));
-    }
+    // A read-only body is a read-mostly body that never upgrades.
+    return runSection(H, TS, [&](WriteIntent &W) {
+      ReadGuard G(/*Speculative=*/!W.holding());
+      return F(G);
+    });
   }
 
   // --- Read-mostly critical sections (Section 5, Figure 17) --------------
@@ -283,15 +273,7 @@ public:
                                                                Fn &&F) {
     ThreadState &TS = ThreadRegistry::current();
     ++TS.Counters.ReadOnlyEntries;
-    using R = std::invoke_result_t<Fn &, WriteIntent &>;
-    if constexpr (std::is_void_v<R>) {
-      (void)runReadMostly(H, TS, [&](WriteIntent &W) {
-        F(W);
-        return Unit{};
-      });
-    } else {
-      return runReadMostly(H, TS, std::forward<Fn>(F));
-    }
+    return runSection(H, TS, std::forward<Fn>(F));
   }
 
   // --- Protocol pieces shared with the engine and tests ------------------
@@ -345,146 +327,49 @@ private:
     // conventional lock would have used (isync-equivalent).
   }
 
-  /// Consults the adaptive controller (inert pass-through when off) for
-  /// one read-only/read-mostly section's speculation budget.
-  ElisionController::Decision beginReadDecision(ThreadState &TS) {
-    if (!Config.Adaptive.Enabled)
-      return {true, Config.MaxSpecAttempts, ElisionState::Elide};
-    return Ctrl.beginRead(TS);
-  }
-
-  /// Per-attempt controller bookkeeping shared by both elision engines.
-  void noteAttempt(ThreadState &TS, const ElisionController::Decision &D,
-                   int FailuresSoFar) {
-    ++TS.Counters.ElisionAttempts;
-    if (FailuresSoFar > 0)
-      ++TS.Counters.SpecRetries;
-    if (!Config.Adaptive.Enabled)
-      return;
-    if (D.St != ElisionState::Elide) [[unlikely]] {
-      if (D.St == ElisionState::Throttled)
-        ++TS.Counters.ThrottledAttempts;
-      else if (D.St == ElisionState::Reprobe)
-        ++TS.Counters.ReprobeAttempts;
-    }
-  }
-
-  /// Reports a section's final speculation outcome to the controller.
-  void noteOutcome(ThreadState &TS, const ElisionController::Decision &D,
-                   int Attempts, int Failures) {
+  /// Reports a speculative execution's outcome: counters, then the
+  /// controller's window.
+  void noteOutcome(ThreadState &TS, ElisionState St, bool Failed) {
+    if (Failed)
+      ++TS.Counters.ElisionFailures;
+    else
+      ++TS.Counters.ElisionSuccesses;
     if (Config.Adaptive.Enabled)
-      Ctrl.recordOutcome(TS, D, static_cast<uint32_t>(Attempts),
-                         static_cast<uint32_t>(Failures));
+      Ctrl.recordOutcome(TS, St, Failed);
   }
 
-  /// The elision engine behind synchronizedReadOnly. \p F returns non-void.
-  template <typename Fn> auto runElided(ObjectHeader &H, ThreadState &TS,
-                                        Fn &&F) {
-    using R = std::invoke_result_t<Fn &, ReadGuard &>;
-    ElisionController::Decision D = beginReadDecision(TS);
-    if (!D.Speculate) {
-      // Controller verdict (Disabled): the decayed failure ratio says
-      // speculation here is pure overhead right now — acquire for real
-      // without paying the entry fence and a doomed execution.
-      ++TS.Counters.ElisionSkips;
-      uint64_t V1 = slowEnterWrite(H, TS);
-      return runHoldingRead(H, TS, V1, std::forward<Fn>(F));
-    }
-    ExpBackoff Backoff(Config.Adaptive.BackoffSpinsMin,
-                       Config.Adaptive.BackoffSpinsMax);
-    ReadEntry E = readEnter(H, TS);
-    int Failures = 0;
-    for (;;) {
-      if (E.Holding) {
-        noteOutcome(TS, D, Failures, Failures);
-        return runHoldingRead(H, TS, E.V, std::forward<Fn>(F));
-      }
-
-      // Speculative attempt. The result is returned from inside the try
-      // block: the failure paths all leave through a catch or fall out to
-      // the retry logic, so no deferred result storage is needed (keeping
-      // the happy path free of spills across the landing-pad region).
-      noteAttempt(TS, D, Failures);
-      entryFence();
-      std::size_t Depth = TS.pushRead(H, E.V);
-      ReadGuard G(/*Speculative=*/true);
-      try {
-        R Result = F(G);
-        TS.popRead();
-        if (validate(H, E.V)) {
-          ++TS.Counters.ElisionSuccesses;
-          noteOutcome(TS, D, Failures + 1, Failures);
-          return Result;
-        }
-        ++TS.Counters.ElisionFailures;
-      } catch (SpeculationFault &SF) {
-        TS.popRead();
-        if (SF.Depth < Depth)
-          throw; // an enclosing speculation frame owns this abort
-        ++TS.Counters.ElisionFailures;
-      } catch (WriteIntent::RestartForWrite &) {
-        SOLERO_UNREACHABLE("write upgrade inside a read-only section");
-      } catch (...) {
-        // A guest exception: genuine iff the reads were consistent
-        // (Section 3.3). Nothing to release — the lock was never held.
-        TS.popRead();
-        if (validate(H, E.V)) {
-          // The speculation validated: this attempt succeeded, the
-          // section just completed exceptionally. Without this the
-          // attempts = successes + failures conservation law breaks.
-          ++TS.Counters.ElisionSuccesses;
-          noteOutcome(TS, D, Failures + 1, Failures);
-          throw;
-        }
-        ++TS.Counters.ElisionFailures;
-        ++TS.Counters.FaultRetries;
-      }
-      if (++Failures >= D.MaxAttempts) {
-        // Fallback (Figure 7 line 13): acquire the lock for real.
-        ++TS.Counters.Fallbacks;
-        noteOutcome(TS, D, Failures, Failures);
-        uint64_t V1 = slowEnterWrite(H, TS);
-        return runHoldingRead(H, TS, V1, std::forward<Fn>(F));
-      }
-      // Retry: widen the conflicting writer's window before burning
-      // another attempt (bounded exponential backoff).
-      Backoff.pause();
-      E = readEnter(H, TS);
-    }
-  }
-
-  /// Executes \p F while holding the lock; releases via slowReadExit.
-  template <typename Fn> auto runHoldingRead(ObjectHeader &H, ThreadState &TS,
-                                             uint64_t V, Fn &&F) {
-    ScopeExit Release([&] {
-      bool Released = slowReadExit(H, TS, V);
-      SOLERO_CHECK(Released, "slowReadExit while holding must release");
-    });
-    ReadGuard G(/*Speculative=*/false);
-    return F(G);
-  }
-
-  /// The read-mostly engine (Figure 17). \p F returns non-void.
-  template <typename Fn> auto runReadMostly(ObjectHeader &H, ThreadState &TS,
-                                            Fn &&F) {
+  /// The elision engine behind both read-only and read-mostly sections
+  /// (Figures 7 and 17): one speculative execution, then the fallback that
+  /// acquires the lock for real and re-executes \p F while holding it.
+  template <typename Fn> auto runSection(ObjectHeader &H, ThreadState &TS,
+                                         Fn &&F) {
     using R = std::invoke_result_t<Fn &, WriteIntent &>;
-    ElisionController::Decision D = beginReadDecision(TS);
-    if (!D.Speculate) {
-      ++TS.Counters.ElisionSkips;
-      uint64_t V1 = slowEnterWrite(H, TS);
-      return runHoldingMostly(H, TS, V1, std::forward<Fn>(F));
-    }
-    ExpBackoff Backoff(Config.Adaptive.BackoffSpinsMin,
-                       Config.Adaptive.BackoffSpinsMax);
-    ReadEntry E = readEnter(H, TS);
-    int Failures = 0;
-    for (;;) {
-      if (E.Holding) {
-        noteOutcome(TS, D, Failures, Failures);
-        return runHoldingMostly(H, TS, E.V, std::forward<Fn>(F));
+    if constexpr (std::is_void_v<R>) {
+      (void)runSection(H, TS, [&](WriteIntent &W) {
+        F(W);
+        return Unit{};
+      });
+    } else {
+      ElisionState St = Config.Adaptive.Enabled ? Ctrl.beginRead(TS)
+                                                : ElisionState::Elide;
+      if (St == ElisionState::Disabled) {
+        // Controller verdict: the decayed failure ratio says speculation
+        // here is pure overhead right now — acquire for real without
+        // paying the entry fence and a doomed execution.
+        ++TS.Counters.ElisionSkips;
+        return runHolding(H, TS, slowEnterWrite(H, TS), F);
       }
+      ReadEntry E = readEnter(H, TS);
+      if (E.Holding)
+        return runHolding(H, TS, E.V, F);
 
-      noteAttempt(TS, D, Failures);
+      // The speculative execution. The result is returned from inside the
+      // try block: every failure leaves through a catch or falls out to the
+      // fallback, so no deferred result storage is needed (keeping the
+      // happy path free of spills across the landing-pad region).
+      ++TS.Counters.ElisionAttempts;
+      if (St == ElisionState::Reprobe) [[unlikely]]
+        ++TS.Counters.ReprobeAttempts;
       entryFence();
       std::size_t Depth = TS.pushRead(H, E.V);
       WriteIntent W(H, TS, E.V, /*Holding=*/false, Depth);
@@ -493,26 +378,18 @@ private:
         if (W.Upgraded) {
           // Section completed while holding the upgraded lock.
           exitWrite(H, TS, W.V);
-          ++TS.Counters.ElisionSuccesses;
-          noteOutcome(TS, D, Failures + 1, Failures);
+          noteOutcome(TS, St, /*Failed=*/false);
           return Result;
         }
         TS.popRead();
         if (validate(H, E.V)) {
-          ++TS.Counters.ElisionSuccesses;
-          noteOutcome(TS, D, Failures + 1, Failures);
+          noteOutcome(TS, St, /*Failed=*/false);
           return Result;
         }
-        ++TS.Counters.ElisionFailures;
       } catch (WriteIntent::RestartForWrite &) {
         // Upgrade CAS failed: prior reads are unverifiable (Figure 17
-        // line 13): acquire for real and re-execute.
+        // line 13).
         TS.popRead();
-        ++TS.Counters.ElisionFailures;
-        ++TS.Counters.Fallbacks;
-        noteOutcome(TS, D, Failures + 1, Failures + 1);
-        uint64_t V1 = slowEnterWrite(H, TS);
-        return runHoldingMostly(H, TS, V1, std::forward<Fn>(F));
       } catch (SpeculationFault &SF) {
         if (W.Upgraded) {
           // The abort belongs to an enclosing frame (this frame's record
@@ -522,39 +399,35 @@ private:
         }
         TS.popRead();
         if (SF.Depth < Depth)
-          throw;
-        ++TS.Counters.ElisionFailures;
+          throw; // an enclosing speculation frame owns this abort
       } catch (...) {
         if (W.Upgraded) {
           // Holding: genuine exception; release and propagate.
           exitWrite(H, TS, W.V);
           throw;
         }
+        // A guest exception: genuine iff the reads were consistent
+        // (Section 3.3). Nothing to release — the lock was never held.
         TS.popRead();
         if (validate(H, E.V)) {
-          // Genuine guest exception out of a validated speculation: a
-          // success, same as the read-only engine above.
-          ++TS.Counters.ElisionSuccesses;
-          noteOutcome(TS, D, Failures + 1, Failures);
+          // The speculation validated: it succeeded, the section just
+          // completed exceptionally. Without this the attempts = successes
+          // + failures conservation law breaks.
+          noteOutcome(TS, St, /*Failed=*/false);
           throw;
         }
-        ++TS.Counters.ElisionFailures;
         ++TS.Counters.FaultRetries;
       }
-      if (++Failures >= D.MaxAttempts) {
-        ++TS.Counters.Fallbacks;
-        noteOutcome(TS, D, Failures, Failures);
-        uint64_t V1 = slowEnterWrite(H, TS);
-        return runHoldingMostly(H, TS, V1, std::forward<Fn>(F));
-      }
-      Backoff.pause();
-      E = readEnter(H, TS);
+      // Fallback (Figure 7 line 13): acquire the lock for real.
+      ++TS.Counters.Fallbacks;
+      noteOutcome(TS, St, /*Failed=*/true);
+      return runHolding(H, TS, slowEnterWrite(H, TS), F);
     }
   }
 
-  template <typename Fn>
-  auto runHoldingMostly(ObjectHeader &H, ThreadState &TS, uint64_t V,
-                        Fn &&F) {
+  /// Executes \p F while holding the lock; releases via slowReadExit.
+  template <typename Fn> auto runHolding(ObjectHeader &H, ThreadState &TS,
+                                         uint64_t V, Fn &F) {
     ScopeExit Release([&] {
       bool Released = slowReadExit(H, TS, V);
       SOLERO_CHECK(Released, "slowReadExit while holding must release");

@@ -84,14 +84,16 @@ private:
   X(Inflations)                                                                \
   X(Deflations)                                                                \
   X(FlcWaits) /* parks on the flat-lock-contention path */                     \
-  /* Adaptive elision controller (DESIGN.md "Adaptive elision"). The       */  \
-  /* per-state attempt counters partition ElisionAttempts when the         */  \
-  /* controller is on: Elide-state attempts are the remainder.             */  \
+  /* Adaptive elision controller (DESIGN.md "Adaptive elision").           */  \
+  /* ReprobeAttempts counts the ElisionAttempts made in Reprobe state.     */  \
+  /* SpecRetries, ThrottledAttempts and CtrlThrottles always read 0: each  */  \
+  /* section speculates at most once and the Throttled state is retired.   */  \
+  /* They keep their place because the layout is pinned by consumers.      */  \
   X(ElisionSkips)      /* read sections bypassing speculation */               \
-  X(SpecRetries)       /* re-attempts after failed speculation */              \
-  X(ThrottledAttempts) /* attempts issued in Throttled state */                \
+  X(SpecRetries)       /* always 0: one attempt per section */                 \
+  X(ThrottledAttempts) /* always 0: Throttled state retired */                 \
   X(ReprobeAttempts)   /* attempts issued in Reprobe state */                  \
-  X(CtrlThrottles)     /* Elide -> Throttled transitions */                    \
+  X(CtrlThrottles)     /* always 0: Throttled state retired */                 \
   X(CtrlDisables)      /* -> Disabled transitions */                           \
   X(CtrlReprobes)      /* Disabled -> Reprobe transitions */                   \
   X(CtrlReenables)     /* -> Elide re-enables */
@@ -204,8 +206,10 @@ private:
 };
 
 namespace detail {
-/// Fast-path cache for ThreadRegistry::current(). Internal.
-extern thread_local ThreadState *CurrentThreadState;
+/// Fast-path cache for ThreadRegistry::current(). Internal. constinit:
+/// initialized at compile time, so each use is a plain TLS load with no
+/// call-or-skip test of a dynamic TLS init function in front of it.
+extern constinit thread_local ThreadState *CurrentThreadState;
 } // namespace detail
 
 /// Process-wide registry handing out ThreadStates. A thread registers

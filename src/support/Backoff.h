@@ -55,74 +55,40 @@ inline void spinTier1(int Iterations) {
     cpuRelax();
 }
 
-/// How ExpBackoff spreads its waits. Deterministic doubling synchronizes:
-/// N clients that collided once will wake together, collide again, and
-/// double together — a retry wave that never decorrelates. The jittered
-/// modes (AWS Architecture Blog, "Exponential backoff and jitter",
-/// Brooker 2015) break the lockstep:
-///
-///   None          — classic doubling; the pre-existing behavior and the
-///                   default, so lock-internal call sites stay untouched.
-///   FullJitter    — sleep = uniform[1, Cur]; Cur still doubles. Best
-///                   spread, at the cost of occasionally near-zero waits.
-enum class JitterMode : uint8_t { None, FullJitter };
-
-/// Bounded exponential backoff for optimistic-retry loops (the BRAVO /
-/// Fissile-lock recipe): each pause() busy-waits twice as long as the
-/// previous one, clamped to [MinSpins, MaxSpins] cpuRelax() iterations.
-/// Used by the adaptive elision controller between speculation retries so
-/// a conflicting writer gets a widening window to drain before the reader
-/// burns another failed attempt, and by the KV service retry budget with
-/// jitter enabled so shed-then-retried requests cannot self-synchronize.
+/// Bounded exponential backoff with full jitter for retry loops: each
+/// wait is uniform in [1, Cur], and the ceiling Cur doubles per wait,
+/// clamped to [MinSpins, MaxSpins]. Deterministic doubling would
+/// synchronize: N clients that collided once would wake together, collide
+/// again, and double together — a retry wave that never decorrelates. Full
+/// jitter (AWS Architecture Blog, "Exponential backoff and jitter", Brooker
+/// 2015) breaks the lockstep, at the cost of occasionally near-zero waits.
+/// The KV service's retry budget draws its retry delays from it, so
+/// shed-then-retried requests cannot self-synchronize.
 class ExpBackoff {
 public:
-  explicit ExpBackoff(int MinSpins = 16, int MaxSpins = 1024,
-                      JitterMode Jitter = JitterMode::None,
-                      uint64_t Seed = 0x9E3779B97F4A7C15ull)
+  ExpBackoff(int MinSpins, int MaxSpins, uint64_t Seed = 0x9E3779B97F4A7C15ull)
       : Min(MinSpins < 1 ? 1 : MinSpins),
-        Max(MaxSpins < Min ? Min : MaxSpins), Cur(Min), Jitter(Jitter),
-        Rng(Seed) {}
+        Max(MaxSpins < Min ? Min : MaxSpins), Cur(Min), Rng(Seed) {}
 
-  /// Busy-waits for the mode's current interval, then advances the state
-  /// (saturating at Max).
-  void pause() { spinTier1(nextSpins()); }
-
-  /// The wait the next pause() would perform, advancing the backoff state
-  /// exactly as pause() would. Exposed so callers that wait by sleeping or
-  /// parking (rather than spinning) — and the jitter-bounds unit tests —
-  /// can consume the same schedule.
+  /// The next wait, in spins (callers that sleep or park pick their own
+  /// unit), then advances the ceiling (saturating at Max).
   int nextSpins() {
-    int Wait = Cur;
-    switch (Jitter) {
-    case JitterMode::None:
-      Cur = Cur > Max / 2 ? Max : Cur * 2;
-      break;
-    case JitterMode::FullJitter:
-      // Uniform in [1, Cur]; the deterministic ceiling keeps doubling.
-      Wait = 1 + static_cast<int>(Rng.nextBounded(static_cast<uint64_t>(Cur)));
-      Cur = Cur > Max / 2 ? Max : Cur * 2;
-      break;
-    }
+    int Wait =
+        1 + static_cast<int>(Rng.nextBounded(static_cast<uint64_t>(Cur)));
+    Cur = Cur > Max / 2 ? Max : Cur * 2;
     return Wait;
   }
 
-  /// Returns to the minimum interval (call after a success).
+  /// Returns the ceiling to the minimum interval (call after a success).
   void reset() { Cur = Min; }
 
-  /// The deterministic backoff state (the FullJitter ceiling). For
-  /// JitterMode::None this is exactly the spin count the next pause()
-  /// will use.
+  /// The current ceiling: the largest wait the next nextSpins() can draw.
   int currentSpins() const { return Cur; }
-
-  JitterMode jitterMode() const { return Jitter; }
-  int minSpins() const { return Min; }
-  int maxSpins() const { return Max; }
 
 private:
   int Min;
   int Max;
   int Cur;
-  JitterMode Jitter;
   Xoshiro256StarStar Rng;
 };
 

@@ -75,11 +75,10 @@ struct BenchResult {
     return safeRatio(Delta.ElisionSkips, Delta.ReadOnlyEntries);
   }
 
-  /// "throttles/disables/reprobes/re-enables" controller-transition
-  /// summary for stats tables.
+  /// "disables/reprobes/re-enables" controller-transition summary for
+  /// stats tables.
   std::string controllerTransitions() const {
-    return std::to_string(Delta.CtrlThrottles.value()) + "/" +
-           std::to_string(Delta.CtrlDisables.value()) + "/" +
+    return std::to_string(Delta.CtrlDisables.value()) + "/" +
            std::to_string(Delta.CtrlReprobes.value()) + "/" +
            std::to_string(Delta.CtrlReenables.value());
   }

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Exercises the failure-ratio-driven speculation policy
-/// (core/ElisionController.h): the Elide -> Throttled -> Disabled ->
-/// Reprobe hysteresis under a deterministic forced-failure workload, the
-/// skip-budget backoff, and the adaptive retry budget with ExpBackoff.
+/// (core/ElisionController.h): the Elide -> Disabled -> Reprobe machine
+/// under a deterministic forced-failure workload, the skip-budget backoff,
+/// and the one-attempt speculation budget.
 ///
 /// The forced-failure trick: a write section on the same lock *inside* the
 /// read-only body. On a speculative execution the inner write bumps the
@@ -37,15 +37,11 @@ AdaptiveElisionConfig tinyAdaptive() {
   AdaptiveElisionConfig A;
   A.Enabled = true;
   A.WindowAttempts = 8;
-  A.ThrottleRatio = 0.30;
   A.DisableRatio = 0.60;
   A.ReenableRatio = 0.20;
-  A.ElideMaxAttempts = 1; // 1 attempt/section: sections == attempts
   A.ReprobeWindow = 4;
   A.DisabledSkipMin = 4;
   A.DisabledSkipMax = 16;
-  A.BackoffSpinsMin = 1;
-  A.BackoffSpinsMax = 4;
   return A;
 }
 
@@ -162,42 +158,45 @@ TEST_F(AdaptiveElisionTest, FailedReprobeBacksOffExponentially) {
   EXPECT_EQ(L.controller().skipBudget(), 8);
 }
 
-TEST_F(AdaptiveElisionTest, MidRatioThrottlesThenRecovers) {
-  // 3 failures + 5 successes fill the window at ratio 0.375: between
-  // ThrottleRatio (0.30) and DisableRatio (0.60) -> Throttled.
+TEST_F(AdaptiveElisionTest, MidRatioStaysElideDisableRatioDisables) {
+  // 3 failures + 5 successes fill the window at ratio 0.375: below
+  // DisableRatio (0.60), so the lock keeps speculating, one attempt each.
   for (int I = 0; I < 3; ++I)
     failingSection();
   for (int I = 0; I < 5; ++I)
     succeedingSection();
-  EXPECT_EQ(state(), ElisionState::Throttled);
-  EXPECT_EQ(delta().CtrlThrottles, 1u);
-
-  // The decayed window (4 attempts, 1 failure) plus 4 clean successes
-  // re-fills it at ratio 1/8 <= ReenableRatio -> back to Elide.
-  snap();
-  for (int I = 0; I < 4; ++I)
-    succeedingSection();
   EXPECT_EQ(state(), ElisionState::Elide);
   ProtocolCounters D = delta();
-  EXPECT_EQ(D.ThrottledAttempts, 4u);
-  EXPECT_EQ(D.CtrlReenables, 1u);
+  EXPECT_EQ(D.ElisionAttempts, 8u);
+  EXPECT_EQ(D.CtrlDisables, 0u);
+
+  // A window at exactly DisableRatio disables: 3 failures + 2 successes
+  // fill a 5-attempt window at ratio 0.6.
+  SoleroConfig C = tinyAdaptiveConfig();
+  C.Adaptive.WindowAttempts = 5;
+  SoleroLock L5(Ctx, C);
+  snap();
+  for (int I = 0; I < 3; ++I)
+    L5.synchronizedReadOnly(H, [&](ReadGuard &) {
+      L5.synchronizedWrite(H, [] {});
+      return 0;
+    });
+  for (int I = 0; I < 2; ++I)
+    L5.synchronizedReadOnly(H, [&](ReadGuard &) { return Data.read(); });
+  EXPECT_EQ(L5.controller().state(), ElisionState::Disabled);
+  EXPECT_EQ(delta().CtrlDisables, 1u);
 }
 
-TEST_F(AdaptiveElisionTest, ElideRetriesWithBackoffBeforeFallingBack) {
-  SoleroConfig C = tinyAdaptiveConfig();
-  C.Adaptive.ElideMaxAttempts = 3;
-  C.Adaptive.WindowAttempts = 1000; // keep the controller in Elide
-  SoleroLock Retry(Ctx, C);
-  snap();
-  Retry.synchronizedReadOnly(H, [&](ReadGuard &) {
-    Retry.synchronizedWrite(H, [] {});
-    return 0;
-  });
+TEST_F(AdaptiveElisionTest, FailedValidationMakesOneAttemptThenFallsBack) {
+  // An Elide section whose validation fails speculates exactly once, then
+  // acquires the lock for real: there is no retry budget.
+  EXPECT_EQ(failingSection(), 42);
+  EXPECT_EQ(state(), ElisionState::Elide);
   ProtocolCounters D = delta();
-  EXPECT_EQ(D.ElisionAttempts, 3u); // adaptive MaxSpecAttempts
-  EXPECT_EQ(D.SpecRetries, 2u);     // attempts 2 and 3, after ExpBackoff
-  EXPECT_EQ(D.ElisionFailures, 3u);
+  EXPECT_EQ(D.ElisionAttempts, 1u);
+  EXPECT_EQ(D.ElisionFailures, 1u);
   EXPECT_EQ(D.Fallbacks, 1u);
+  EXPECT_EQ(D.SpecRetries, 0u);
 }
 
 TEST_F(AdaptiveElisionTest, AdaptiveOffReproducesFixedPaperPolicy) {
@@ -213,7 +212,7 @@ TEST_F(AdaptiveElisionTest, AdaptiveOffReproducesFixedPaperPolicy) {
   EXPECT_EQ(D.Fallbacks, 1u);
   EXPECT_EQ(D.ElisionSkips, 0u);
   EXPECT_EQ(D.SpecRetries, 0u);
-  EXPECT_EQ(D.CtrlDisables + D.CtrlThrottles + D.CtrlReprobes, 0u);
+  EXPECT_EQ(D.CtrlDisables + D.CtrlReprobes, 0u);
   EXPECT_EQ(Fixed.controller().state(), ElisionState::Elide);
 }
 
@@ -240,7 +239,6 @@ TEST_F(AdaptiveElisionTest, ReadMostlySectionsFeedTheController) {
 
 TEST_F(AdaptiveElisionTest, StateNamesAreStable) {
   EXPECT_STREQ(elisionStateName(ElisionState::Elide), "Elide");
-  EXPECT_STREQ(elisionStateName(ElisionState::Throttled), "Throttled");
   EXPECT_STREQ(elisionStateName(ElisionState::Disabled), "Disabled");
   EXPECT_STREQ(elisionStateName(ElisionState::Reprobe), "Reprobe");
 }

@@ -58,15 +58,11 @@ AdaptiveElisionConfig tinyAdaptive() {
   AdaptiveElisionConfig A;
   A.Enabled = true;
   A.WindowAttempts = 8;
-  A.ThrottleRatio = 0.30;
   A.DisableRatio = 0.60;
   A.ReenableRatio = 0.20;
-  A.ElideMaxAttempts = 1;
   A.ReprobeWindow = 4;
   A.DisabledSkipMin = 4;
   A.DisabledSkipMax = 16;
-  A.BackoffSpinsMin = 1;
-  A.BackoffSpinsMax = 4;
   return A;
 }
 
@@ -303,8 +299,13 @@ TEST_F(ImageControllerTest, RestoreRejectsInconsistentSnapshots) {
   EXPECT_FALSE(L.controller().restore(Garbage));
   EXPECT_EQ(L.controller().state(), ElisionState::Elide);
 
+  ElisionSnapshot Retired;
+  Retired.State = 1; // the retired Throttled state
+  EXPECT_FALSE(L.controller().restore(Retired));
+  EXPECT_EQ(L.controller().state(), ElisionState::Elide);
+
   ElisionSnapshot Skewed;
-  Skewed.State = static_cast<uint32_t>(ElisionState::Throttled);
+  Skewed.State = static_cast<uint32_t>(ElisionState::Reprobe);
   Skewed.Attempts = 3;
   Skewed.Failures = 9; // failures cannot exceed attempts
   EXPECT_FALSE(L.controller().restore(Skewed));

@@ -192,7 +192,7 @@ TEST(ArrivalSchedule, SeededStreamsAreIdentical) {
 }
 
 TEST(Backoff, FullJitterStaysInsideDoublingEnvelope) {
-  ExpBackoff B(16, 1024, JitterMode::FullJitter, 99);
+  ExpBackoff B(16, 1024, 99);
   int Ceil = 16;
   for (int I = 0; I < 64; ++I) {
     int W = B.nextSpins();
@@ -203,9 +203,9 @@ TEST(Backoff, FullJitterStaysInsideDoublingEnvelope) {
 }
 
 TEST(Backoff, JitterIsSeededAndResettable) {
-  ExpBackoff A(16, 1024, JitterMode::FullJitter, 7);
-  ExpBackoff B(16, 1024, JitterMode::FullJitter, 7);
-  ExpBackoff C(16, 1024, JitterMode::FullJitter, 8);
+  ExpBackoff A(16, 1024, 7);
+  ExpBackoff B(16, 1024, 7);
+  ExpBackoff C(16, 1024, 8);
   bool Differs = false;
   for (int I = 0; I < 64; ++I) {
     int WA = A.nextSpins();
@@ -214,15 +214,10 @@ TEST(Backoff, JitterIsSeededAndResettable) {
   }
   EXPECT_TRUE(Differs); // different seed -> decorrelated schedule
 
-  // None mode is untouched by the jitter plumbing: exact doubling, and
-  // reset() returns to Min (the pre-existing contract).
-  ExpBackoff Plain(16, 64);
-  EXPECT_EQ(Plain.nextSpins(), 16);
-  EXPECT_EQ(Plain.nextSpins(), 32);
-  EXPECT_EQ(Plain.nextSpins(), 64);
-  EXPECT_EQ(Plain.nextSpins(), 64);
-  Plain.reset();
-  EXPECT_EQ(Plain.nextSpins(), 16);
+  // reset() returns the ceiling to Min: the next wait is drawn from it.
+  A.reset();
+  EXPECT_EQ(A.currentSpins(), 16);
+  EXPECT_LE(A.nextSpins(), 16);
 }
 
 namespace {

@@ -144,26 +144,6 @@ TEST_F(SoleroLockTest, InterferenceCausesFallbackAfterOneFailure) {
   EXPECT_EQ(H.word().load(), 2 * CounterUnit);
 }
 
-TEST_F(SoleroLockTest, ConfigurableRetryBudgetReSpeculates) {
-  SoleroConfig Cfg;
-  Cfg.MaxSpecAttempts = 3;
-  SoleroLock L3(Ctx, Cfg);
-  snap();
-  int Executions = 0;
-  int V = L3.synchronizedReadOnly(H, [&](ReadGuard &G) {
-    EXPECT_TRUE(G.speculative()); // never falls back in this test
-    if (Executions++ == 0)
-      H.word().fetch_add(CounterUnit, std::memory_order_relaxed);
-    return 11;
-  });
-  EXPECT_EQ(V, 11);
-  EXPECT_EQ(Executions, 2);
-  ProtocolCounters D = delta();
-  EXPECT_EQ(D.ElisionFailures, 1u);
-  EXPECT_EQ(D.ElisionSuccesses, 1u);
-  EXPECT_EQ(D.Fallbacks, 0u);
-}
-
 TEST_F(SoleroLockTest, UnelidedModeTakesTheLock) {
   SoleroConfig Cfg;
   Cfg.ElideReadOnly = false;

@@ -84,20 +84,20 @@ TEST(Stats, QuantileSingleElement) {
 TEST(Backoff, ExpBackoffDoublesAndSaturates) {
   ExpBackoff B(/*MinSpins=*/4, /*MaxSpins=*/32);
   EXPECT_EQ(B.currentSpins(), 4);
-  B.pause();
+  B.nextSpins();
   EXPECT_EQ(B.currentSpins(), 8);
-  B.pause();
+  B.nextSpins();
   EXPECT_EQ(B.currentSpins(), 16);
-  B.pause();
+  B.nextSpins();
   EXPECT_EQ(B.currentSpins(), 32);
-  B.pause(); // clamped at MaxSpins, never overshoots
+  B.nextSpins(); // clamped at MaxSpins, never overshoots
   EXPECT_EQ(B.currentSpins(), 32);
 }
 
 TEST(Backoff, ExpBackoffResetReturnsToMin) {
   ExpBackoff B(8, 1024);
   for (int I = 0; I < 20; ++I)
-    B.pause();
+    B.nextSpins();
   EXPECT_EQ(B.currentSpins(), 1024);
   B.reset();
   EXPECT_EQ(B.currentSpins(), 8);
@@ -106,12 +106,12 @@ TEST(Backoff, ExpBackoffResetReturnsToMin) {
 TEST(Backoff, ExpBackoffSanitizesDegenerateBounds) {
   ExpBackoff Zero(0, 0); // both clamp to at least one spin
   EXPECT_EQ(Zero.currentSpins(), 1);
-  Zero.pause();
+  EXPECT_EQ(Zero.nextSpins(), 1);
   EXPECT_EQ(Zero.currentSpins(), 1);
 
   ExpBackoff Inverted(64, 2); // Max below Min clamps to Min
   EXPECT_EQ(Inverted.currentSpins(), 64);
-  Inverted.pause();
+  Inverted.nextSpins();
   EXPECT_EQ(Inverted.currentSpins(), 64);
 }
 

@@ -55,7 +55,6 @@ SoleroConfig tinyAdaptiveConfig() {
   SoleroConfig C;
   C.Adaptive.Enabled = true;
   C.Adaptive.WindowAttempts = 8;
-  C.Adaptive.ElideMaxAttempts = 1;
   C.Adaptive.ReprobeWindow = 4;
   C.Adaptive.DisabledSkipMin = 4;
   C.Adaptive.DisabledSkipMax = 16;
