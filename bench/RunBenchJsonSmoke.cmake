@@ -7,13 +7,11 @@
 #
 # Optional parameters (comma-separated; defaults match the figure benches):
 #   PROTOCOLS   protocols that must each have at least one row
-#   EXTRA_KEYS  additional JSON keys that must appear (KV tail-latency rows)
-#   EXTRA_ARGS  additional CLI flags (the chaos smoke's --chaos --seed=N)
+#   EXTRA_KEYS  additional JSON keys that must appear (the chaos counters)
+#   EXTRA_ARGS  additional CLI flags (the chaos smoke's --seed=N)
 #   SAME_PER_PROTOCOL  keys whose value must be identical in every row of
 #               one protocol (a per-lock property such as bytes_per_lock
 #               must not change between variants or thread counts)
-#   FORBIDDEN   a regex that must match neither the JSON nor stdout (taken
-#               whole, not split on commas)
 if(NOT DEFINED PROTOCOLS)
   set(PROTOCOLS "Lock,RWLock,BravoRW,SOLERO")
 endif()
@@ -53,7 +51,7 @@ foreach(PROTO ${PROTOCOLS})
     message(FATAL_ERROR "${JSON} has no rows for protocol ${PROTO}")
   endif()
 endforeach()
-# Bench-specific extra columns (e.g. the KV tail-latency percentiles).
+# Bench-specific extra columns (e.g. the chaos soak counters).
 foreach(KEY ${EXTRA_KEYS})
   string(FIND "${DOC}" "\"${KEY}\"" POS)
   if(POS EQUAL -1)
@@ -89,10 +87,3 @@ foreach(BAD "\"ops_per_sec\": }" "\"ops_per_sec\": ," "nan" "inf")
     message(FATAL_ERROR "${JSON} contains malformed value near '${BAD}'")
   endif()
 endforeach()
-# Bench-specific wrong outputs (e.g. a zero-throughput saturation row).
-if(DEFINED FORBIDDEN)
-  if("${DOC}" MATCHES "${FORBIDDEN}" OR "${STDOUT}" MATCHES "${FORBIDDEN}")
-    message(FATAL_ERROR "${BENCH} output matches forbidden '${FORBIDDEN}': "
-                        "'${CMAKE_MATCH_0}'")
-  endif()
-endif()

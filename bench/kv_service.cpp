@@ -1,43 +1,28 @@
-//===- bench/kv_service.cpp - Open-loop sharded KV service bench ----------===//
+//===- bench/kv_service.cpp - KV service chaos soak -----------------------===//
 //
 // Part of the SOLERO reproduction (PLDI 2010).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The service-shaped evaluation the figure benchmarks cannot provide: a
-/// sharded KV store (kv/ShardedKvStore.h) guarded by each policy of the
-/// lock portfolio, driven by an *open-loop* load generator — Poisson
-/// arrivals at a configured offered rate, Zipfian key popularity, a mixed
-/// GET/PUT/DELETE/SCAN op stream, optional burst phases — with per-thread
-/// log-bucketed latency histograms. Each request is charged from its
-/// scheduled arrival time, so queueing delay shows up in the percentiles
-/// instead of silently throttling the arrival rate the way closed-loop
-/// harnesses do (the BRAVO paper's argument for tail-latency evaluation).
+/// The resilience soak of the sharded KV store (kv/ShardedKvStore.h,
+/// DESIGN.md §17): each selected policy serves a fixed-rate *open-loop*
+/// load — Poisson arrivals, Zipfian key popularity — under a seeded
+/// ChaosDirector fault campaign, with deadline cancellation, token-bucket
+/// GET retries, priority load shedding, the stuck-speculation watchdog,
+/// and the ShardedKv torture oracles (stress/KvOracle.h: exclusion, pair
+/// conservation, scan consistency, churn bitmap, leak, released shard
+/// locks) asserted throughout and at the end. Each request is charged from
+/// its scheduled arrival time, so a stalled worker pays its backlog in the
+/// tail (the BRAVO paper's open-loop argument). Exit code is nonzero on
+/// any oracle violation.
 ///
-/// Both modes run through one driver (OpenLoop) and differ only in how
-/// they serve an arrival. The default sweep steps the offered load per
-/// policy until p99 blows past the SLO (or completions fall behind
-/// arrivals); the last sustainable rate is the saturation throughput.
+/// The policies' read-path speed is measured closed-loop by perfbench
+/// (`kv-read-hot`, `kv-write-churn`, `kv-scan-mix`): an open-loop p99 on
+/// a shared host measures pre-emption, not the service.
 ///
-///   kv_service                         # full sweep, all five policies
-///   kv_service --quick                 # CI smoke (tiny rates/windows)
-///   kv_service --policies=Lock,SOLERO  # subset
-///   kv_service --rate=30000 --slo-us=2000 --burst-factor=4
-///   kv_service --json=BENCH_kv.json    # machine-readable rows
-///   kv_service --checkpoint=kv.img     # write adaptive lock state after
-///                                      # the sweeps (warm image, §16)
-///   kv_service --restore=kv.img        # rehydrate each policy's per-shard
-///                                      # lock state before its sweep
-///
-/// `--chaos` switches to the resilience soak (DESIGN.md §17): a fixed-rate
-/// run under a seeded ChaosDirector fault campaign, with deadline
-/// cancellation, token-bucket GET retries, priority load shedding, the
-/// stuck-speculation watchdog, and the ShardedKv torture oracles
-/// (stress/KvOracle.h: exclusion, pair conservation, scan consistency,
-/// churn bitmap, leak, released shard locks) asserted throughout and at the
-/// end. Exit code is nonzero on any oracle violation.
-///
-///   kv_service --chaos --seed=7 --duration-ms=5000 --json=BENCH_chaos.json
+///   kv_service --quick                 # CI smoke
+///   kv_service --seed=7 --duration-ms=5000 --json=BENCH_chaos.json
+///   kv_service --policies=Lock,SOLERO  # any policy of the portfolio
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +43,6 @@
 #include "support/Distributions.h"
 #include "support/LatencyHistogram.h"
 #include "support/NumaTopology.h"
-#include "support/Stats.h"
 
 #include <algorithm>
 #include <atomic>
@@ -66,7 +50,6 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,24 +72,27 @@ void waitUntil(uint64_t TargetNs) {
 
 double usOf(uint64_t Ns) { return static_cast<double>(Ns) * 1e-3; }
 
-struct KvBenchParams {
+struct SoakParams {
   unsigned Shards = 16;
   uint64_t Keys = 1 << 16;
   double Zipf = 0.99;
-  unsigned PutPct = 3;
-  unsigned DelPct = 1;
-  unsigned ScanPct = 1; // GET is the remainder
   int Threads = 4;
-  uint64_t DurationNs = 400ull * 1000 * 1000;
+  uint64_t DurationNs = 5000ull * 1000 * 1000;
   bool Pin = true;
   uint64_t Seed = 0x5eed;
-  double BurstFactor = 1.0; // >1 enables burst phases
-  uint64_t BurstPeriodNs = 200ull * 1000 * 1000;
-  uint64_t BurstLenNs = 50ull * 1000 * 1000;
+  double RatePerSec = 15000;           ///< fixed offered rate
+  uint64_t DeadlineNs = 20'000'000;    ///< per-request budget from arrival
+  uint64_t DegradedSloNs = 60'000'000; ///< admitted-p99 bound under faults
+  uint64_t WindowNs = 50'000'000;      ///< shed monitor window
+  double RetryPerSec = 200;            ///< per-worker retry token rate
+  double RetryBurst = 20;
+  stress::ChaosConfig Chaos;
+  resilience::ShedConfig Shed;
+  resilience::WatchdogConfig Wd;
 };
 
 /// Prefills \p Store with keys [0, P.Keys), the Zipfian sampler's range.
-template <typename Store> void prefill(Store &S, const KvBenchParams &P) {
+template <typename Store> void prefill(Store &S, const SoakParams &P) {
   SplitMix64 Fill(P.Seed);
   for (uint64_t K = 0; K < P.Keys; ++K)
     S.put(K, Fill.next() >> 1);
@@ -118,25 +104,27 @@ template <typename Store> void prefill(Store &S, const KvBenchParams &P) {
 
 struct LoadResult {
   BenchResult Bench; ///< Ops = served, OpsPerSec = achieved
-  uint64_t P50Ns = 0, P99Ns = 0, P999Ns = 0, MaxNs = 0;
-  double HitRatio = 0;          ///< sweep only
+  uint64_t P50Ns = 0, P99Ns = 0, MaxNs = 0;
   uint64_t SkippedArrivals = 0; ///< shed by the bounded catch-up burst
 };
 
-/// One open-loop run over P.DurationNs at a fixed offered rate. Each of
-/// P.Threads pinned workers paces a Poisson share of the rate through an
+/// One open-loop run over P.DurationNs at P.RatePerSec. Each of P.Threads
+/// pinned workers paces a Poisson share of the rate through an
 /// ArrivalSchedule and hands every due arrival to the caller's server.
 /// The server records each request it serves through record(), which
 /// charges latency from the request's scheduled time: a worker running
 /// behind pays its backlog in the tail.
 class OpenLoop {
 public:
-  OpenLoop(const KvBenchParams &P, double RatePerSec,
-           uint64_t CatchUpBurstMax = 1024)
-      : P(P), RatePerSec(RatePerSec), CatchUpBurstMax(CatchUpBurstMax),
-        Hists(static_cast<std::size_t>(P.Threads)),
+  /// Arrival backlog bound, in mean gaps: a stalled worker issues at most
+  /// this many arrivals late and *counts* the rest as skipped (never
+  /// silently re-anchors the schedule).
+  static constexpr uint64_t CatchUpBurstMax = 512;
+
+  explicit OpenLoop(const SoakParams &P)
+      : P(P), Hists(static_cast<std::size_t>(P.Threads)),
         Lag(std::make_unique<std::atomic<uint64_t>[]>(Hists.size())) {}
-  // Workers and the chaos shed monitor hold its address.
+  // Workers and the shed monitor hold its address.
   OpenLoop(const OpenLoop &) = delete;
   OpenLoop &operator=(const OpenLoop &) = delete;
 
@@ -163,7 +151,7 @@ public:
   template <typename ServeFn, typename BeginFn>
   LoadResult run(ServeFn Serve, BeginFn OnBegin) {
     const unsigned Threads = static_cast<unsigned>(Hists.size());
-    const PoissonProcess Arrivals(RatePerSec / Threads);
+    const PoissonProcess Arrivals(P.RatePerSec / Threads);
     SpinBarrier Start(Threads + 1);
     std::atomic<uint64_t> StartNs{0}, Skipped{0};
     ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
@@ -179,9 +167,6 @@ public:
         const uint64_t End = Begin + P.DurationNs;
         ArrivalSchedule Sched(Arrivals, Begin, Rng, CatchUpBurstMax);
         for (;;) {
-          // Bounded catch-up: a stalled worker issues at most the last
-          // CatchUpBurstMax arrivals late and *counts* the rest as
-          // skipped (never silently re-anchors the schedule).
           Sched.boundBacklog(nowNs(), Rng);
           const uint64_t Next = Sched.nextArrivalNs();
           if (Next >= End)
@@ -190,10 +175,7 @@ public:
           Lag[T].store(Now > Next ? Now - Next : 0, std::memory_order_relaxed);
           if (Now < Next)
             waitUntil(Next);
-          // Burst phases compress the arrival gaps by BurstFactor.
-          bool Burst = P.BurstFactor > 1.0 &&
-                       (Next - Begin) % P.BurstPeriodNs < P.BurstLenNs;
-          Sched.advance(Rng, Burst ? P.BurstFactor : 1.0);
+          Sched.advance(Rng);
           Serve(T, Next, Rng);
         }
         Skipped.fetch_add(Sched.skippedArrivals(), std::memory_order_relaxed);
@@ -221,175 +203,27 @@ public:
                                   ThreadRegistry::instance().totalCounters());
     R.P50Ns = Merged.quantile(0.50);
     R.P99Ns = Merged.quantile(0.99);
-    R.P999Ns = Merged.quantile(0.999);
     R.MaxNs = Merged.max();
     return R;
   }
 
 private:
-  const KvBenchParams &P;
-  double RatePerSec;
-  uint64_t CatchUpBurstMax;
+  const SoakParams &P;
   std::vector<LatencyHistogram> Hists;
   std::unique_ptr<std::atomic<uint64_t>[]> Lag;
 };
 
 //===----------------------------------------------------------------------===//
-// Rate sweep (default): the Zipfian GET/PUT/DELETE/SCAN mix
+// Chaos soak: overload resilience under a seeded fault campaign
 //===----------------------------------------------------------------------===//
-
-struct SweepParams {
-  double BaseRate = 30000;
-  double Factor = 1.6;
-  int Steps = 7;
-  uint64_t SloNs = 2000ull * 1000; // p99 SLO
-};
-
-/// One sweep step: each arrival is served as one op of the mix.
-template <typename Store>
-LoadResult runSweepStep(Store &S, const KvBenchParams &P,
-                        const ZipfianSampler &Zipf, double OfferedPerSec) {
-  struct alignas(CacheLineSize) GetCounts {
-    uint64_t Gets = 0, Hits = 0;
-  };
-  std::vector<GetCounts> Counts(static_cast<std::size_t>(P.Threads));
-  OpenLoop Driver(P, OfferedPerSec);
-  auto Serve = [&](unsigned T, uint64_t Due, Xoshiro256StarStar &Rng) {
-    unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
-    if (Roll < P.PutPct) {
-      S.put(Zipf.nextScrambled(Rng), Rng.next() >> 1);
-    } else if (Roll < P.PutPct + P.DelPct) {
-      S.remove(Zipf.nextScrambled(Rng));
-    } else if (Roll < P.PutPct + P.DelPct + P.ScanPct) {
-      // The scan reads atomics, so it cannot be optimized away.
-      (void)S.scanShard(
-          static_cast<unsigned>(Rng.nextBounded(S.shardCount())));
-    } else {
-      ++Counts[T].Gets;
-      if (S.get(Zipf.nextScrambled(Rng)).has_value())
-        ++Counts[T].Hits;
-    }
-    Driver.record(T, Due);
-  };
-  LoadResult R = Driver.run(Serve, [](uint64_t) {});
-  uint64_t Gets = 0, Hits = 0;
-  for (const GetCounts &C : Counts) {
-    Gets += C.Gets;
-    Hits += C.Hits;
-  }
-  R.HitRatio = safeRatio(Hits, Gets);
-  return R;
-}
-
-/// Runs one policy: prefill once, then step the offered load until the
-/// SLO breaks. Emits one JSON row per step plus a saturation summary row
-/// when at least one step met the SLO.
-template <typename Policy>
-void runSweep(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
-              const SweepParams &Sweep, const ZipfianSampler &Zipf,
-              image::ImageBuilder *Ckpt, const image::LoadedImage *Warm) {
-  kv::ShardedKvStore<Policy> Store(*Env.Ctx, {P.Shards, 64});
-  prefill(Store, P);
-
-  std::printf("\n--- %s ---\n", Policy::name());
-  // Rehydrate the per-shard adaptive lock state (SOLERO controllers,
-  // BRAVO bias) from the warm image before the sweep; a missing or
-  // mismatched blob just means this policy sweeps cold.
-  const std::string BlobName = std::string("kv.") + Policy::name();
-  if (Warm && Warm->loaded()) {
-    const std::vector<uint8_t> *Blob = Warm->blob(BlobName);
-    bool Restored = false;
-    if (Blob) {
-      image::ImageReader R(*Blob);
-      Restored = image::restoreKvLockState(R, Store);
-    }
-    std::printf("warm image: %s %s\n", BlobName.c_str(),
-                Restored ? "restored (per-shard lock state rehydrated)"
-                         : (Blob ? "rejected; sweeping cold"
-                                 : "not present; sweeping cold"));
-  }
-  TablePrinter T({"offered/s", "achieved/s", "p50 us", "p99 us", "p999 us",
-                  "max us", "rmw/op", "hit%", "verdict"});
-  double Rate = Sweep.BaseRate;
-  std::optional<LoadResult> Sat; // the last step that met the SLO
-  bool Saturated = false;
-  for (int Step = 0; Step < Sweep.Steps; ++Step) {
-    LoadResult R = runSweepStep(Store, P, Zipf, Rate);
-    bool MetSlo = R.P99Ns <= Sweep.SloNs && R.Bench.OpsPerSec >= 0.9 * Rate;
-    T.addRow({TablePrinter::num(Rate, 0),
-              TablePrinter::num(R.Bench.OpsPerSec, 0),
-              TablePrinter::num(usOf(R.P50Ns), 1),
-              TablePrinter::num(usOf(R.P99Ns), 1),
-              TablePrinter::num(usOf(R.P999Ns), 1),
-              TablePrinter::num(usOf(R.MaxNs), 1),
-              TablePrinter::num(R.Bench.rmwPerOp(), 2),
-              TablePrinter::percent(R.HitRatio, 1),
-              MetSlo ? "ok" : "SATURATED"});
-    Json.add("sweep", Policy::name(), P.Threads, R.Bench,
-             {{"offered_per_sec", Rate},
-              {"p50_us", usOf(R.P50Ns)},
-              {"p99_us", usOf(R.P99Ns)},
-              {"p999_us", usOf(R.P999Ns)},
-              {"max_us", usOf(R.MaxNs)},
-              {"hit_ratio", R.HitRatio},
-              {"skipped_arrivals", static_cast<double>(R.SkippedArrivals)}});
-    if (!MetSlo) {
-      Saturated = true;
-      break;
-    }
-    Sat = R;
-    Rate *= Sweep.Factor;
-  }
-  T.print();
-  if (!Sat) {
-    std::printf("%s saturation: not reached; the first step already misses "
-                "the p99 SLO of %s us [lower --rate]\n",
-                Policy::name(),
-                TablePrinter::num(usOf(Sweep.SloNs), 0).c_str());
-  } else {
-    std::printf("%s saturation: %s ops/s within p99 SLO of %s us%s "
-                "(GET-path rmw/op %.2f, %llu shard resizes)\n",
-                Policy::name(),
-                TablePrinter::num(Sat->Bench.OpsPerSec, 0).c_str(),
-                TablePrinter::num(usOf(Sweep.SloNs), 0).c_str(),
-                Saturated ? "" : " [sweep exhausted, raise --sweep-steps]",
-                Sat->Bench.rmwPerOp(),
-                static_cast<unsigned long long>(Store.totalResizes()));
-    Json.add("saturation", Policy::name(), P.Threads, Sat->Bench,
-             {{"sat_ops_per_sec", Sat->Bench.OpsPerSec},
-              {"slo_us", usOf(Sweep.SloNs)},
-              {"p99_us", usOf(Sat->P99Ns)}});
-  }
-  // All workers are joined (quiescent), so the controllers can be
-  // snapshotted into the warm image for the next run.
-  if (Ckpt)
-    Ckpt->addBlob(BlobName, image::snapshotKvLockState(Store));
-}
-
-//===----------------------------------------------------------------------===//
-// Chaos soak (--chaos): overload resilience under a seeded fault campaign
-//===----------------------------------------------------------------------===//
-
-struct ChaosSoakParams {
-  double RatePerSec = 15000;           ///< fixed offered rate (no sweep)
-  uint64_t DeadlineNs = 20'000'000;    ///< per-request budget from arrival
-  uint64_t DegradedSloNs = 60'000'000; ///< admitted-p99 bound under faults
-  uint64_t WindowNs = 50'000'000;      ///< shed monitor window
-  double RetryPerSec = 200;            ///< per-worker retry token rate
-  double RetryBurst = 20;
-  uint64_t CatchUpBurstMax = 512; ///< arrival backlog bound (mean gaps)
-  stress::ChaosConfig Chaos;
-  resilience::ShedConfig Shed;
-  resilience::WatchdogConfig Wd;
-};
 
 constexpr unsigned ChaosChurnPerThread = 256;
 constexpr std::size_t RetryQueueCap = 64;
 
 /// One chaos worker's retry machinery and inline oracle verdicts.
 struct alignas(CacheLineSize) ChaosWorker {
-  ChaosWorker(const ChaosSoakParams &CS, uint64_t BackoffSeed)
-      : Budget(CS.RetryPerSec, CS.RetryBurst, nowNs()),
+  ChaosWorker(const SoakParams &P, uint64_t BackoffSeed)
+      : Budget(P.RetryPerSec, P.RetryBurst, nowNs()),
         Backoff(64, 8192, BackoffSeed) {}
 
   struct RetryEntry {
@@ -429,8 +263,8 @@ struct alignas(CacheLineSize) ChaosWorker {
 /// One fixed-rate soak of \p Policy under the seeded fault campaign.
 /// Returns the number of oracle violations (0 is the acceptance bar).
 template <typename Policy>
-uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
-                      const ZipfianSampler &Zipf, const ChaosSoakParams &CS) {
+uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
+                      const ZipfianSampler &Zipf) {
   kv::ShardedKvStore<Policy> Store(*Env.Ctx, {P.Shards, 64});
   prefill(Store, P);
   const unsigned ShardCount = Store.shardCount();
@@ -439,7 +273,7 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
 
   // The watchdog guards each shard's elision controller or BRAVO bias,
   // where the policy has one; every policy gets the stall detector.
-  resilience::SpeculationWatchdog Wd(CS.Wd);
+  resilience::SpeculationWatchdog Wd(P.Wd);
   for (unsigned S = 0; S < ShardCount; ++S) {
     auto &Lock = Store.shardPolicy(S);
     if constexpr (requires { Lock.protocol().controller(); })
@@ -448,7 +282,7 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
       Wd.watchBravo(&Lock.protocol());
   }
 
-  stress::ChaosConfig CC = CS.Chaos;
+  stress::ChaosConfig CC = P.Chaos;
   CC.Shards = ShardCount;
   CC.DurationNs = P.DurationNs;
   stress::ChaosDirector Director(CC);
@@ -471,17 +305,17 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   std::printf("\n--- %s (chaos soak) ---\n%s", Policy::name(),
               Director.scheduleString().c_str());
 
-  OpenLoop Driver(P, CS.RatePerSec, CS.CatchUpBurstMax);
+  OpenLoop Driver(P);
   std::vector<ChaosWorker> Workers;
   Workers.reserve(Threads);
   for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back(CS, P.Seed + T);
+    Workers.emplace_back(P, P.Seed + T);
 
   // Double-buffered per-thread window histograms: workers record into the
   // selected bank, the monitor flips the selector and reads/resets the
   // retired bank (LatencyHistogram's relaxed atomics make the brief
   // overlap a counting blur, not a race).
-  resilience::ShedController Shed(CS.Shed);
+  resilience::ShedController Shed(P.Shed);
   std::vector<LatencyHistogram> Banks[2]{
       std::vector<LatencyHistogram>(static_cast<std::size_t>(Threads)),
       std::vector<LatencyHistogram>(static_cast<std::size_t>(Threads))};
@@ -489,7 +323,7 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
   std::atomic<bool> MonitorRun{true};
   std::thread Monitor([&] {
     while (MonitorRun.load(std::memory_order_acquire)) {
-      uint64_t WindowEnd = nowNs() + CS.WindowNs;
+      uint64_t WindowEnd = nowNs() + P.WindowNs;
       while (MonitorRun.load(std::memory_order_acquire) &&
              nowNs() < WindowEnd)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -533,8 +367,8 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
     }
   };
 
-  // The chaos way of serving an arrival: admission, deadline, then one op
-  // of the oracle mix (mutations 8%, scans 4%, point GETs the rest).
+  // Serving an arrival: admission, deadline, then one op of the oracle mix
+  // (mutations 8%, scans 4%, point GETs the rest).
   auto Serve = [&](unsigned T, uint64_t Due, Xoshiro256StarStar &Rng) {
     ChaosWorker &W = Workers[T];
     unsigned Roll = static_cast<unsigned>(Rng.nextBounded(100));
@@ -544,13 +378,13 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
                               : resilience::OpPriority::Get);
     if (!Shed.admit(Pri)) {
       ++W.ShedCount;
-    } else if (resilience::Deadline::fromScheduled(Due, CS.DeadlineNs)
+    } else if (resilience::Deadline::fromScheduled(Due, P.DeadlineNs)
                    .expired(Director.deadlineNowNs())) {
       // Cancelled before touching a shard, so a retry can never
       // double-apply. Only idempotent GETs are worth re-offering.
       ++W.Timeouts;
       if (Pri == resilience::OpPriority::Get)
-        W.offerRetry(Zipf.nextScrambled(Rng), CS.DeadlineNs);
+        W.offerRetry(Zipf.nextScrambled(Rng), P.DeadlineNs);
     } else if (Roll < 2) {
       // Pair bump under the exclusion token (KvOracle).
       unsigned S = static_cast<unsigned>(Rng.nextBounded(ShardCount));
@@ -587,7 +421,7 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
 
   // --- End-of-run oracles (quiescent, so every check is exact) -----------
   uint64_t Violations = 0;
-  ChaosWorker Sum(CS, 0); // totals over the workers
+  ChaosWorker Sum(P, 0); // totals over the workers
   for (const ChaosWorker &W : Workers) {
     Violations += W.Violations;
     Sum.ShedCount += W.ShedCount;
@@ -612,13 +446,13 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
     std::printf("%s\n", Diag.render().c_str());
   resilience::SpeculationWatchdog::Stats WS = Wd.stats();
   std::vector<JsonReport::Extra> Report = {
-      {"offered_per_sec", CS.RatePerSec},
+      {"offered_per_sec", P.RatePerSec},
       {"admitted_p50_us", usOf(Run.P50Ns)},
       {"admitted_p99_us", usOf(Run.P99Ns)},
       {"admitted_max_us", usOf(Run.MaxNs)},
-      {"deadline_us", usOf(CS.DeadlineNs)},
-      {"degraded_slo_us", usOf(CS.DegradedSloNs)},
-      {"degraded_slo_met", Run.P99Ns <= CS.DegradedSloNs ? 1.0 : 0.0},
+      {"deadline_us", usOf(P.DeadlineNs)},
+      {"degraded_slo_us", usOf(P.DegradedSloNs)},
+      {"degraded_slo_met", Run.P99Ns <= P.DegradedSloNs ? 1.0 : 0.0},
       {"shed", static_cast<double>(Sum.ShedCount)},
       {"timeouts", static_cast<double>(Sum.Timeouts)},
       {"retries", static_cast<double>(Sum.Retries)},
@@ -654,18 +488,13 @@ template <typename... Policies, typename Fn> void forEachPolicy(Fn &&F) {
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv,
-               {"burst-factor", "burst-len-ms", "burst-period-ms", "chaos",
-                "chaos-gap-ms", "chaos-kinds", "chaos-max-ms", "chaos-min-ms",
-                "checkpoint", "deadline-us", "degraded-slo-us", "del",
-                "duration-ms", "keys", "pin", "policies", "put", "rate",
-                "restore", "retry-burst", "retry-rate", "scan", "shards",
-                "shed-window-ms", "slo-us", "slow-shard-us", "stall-bound-ms",
-                "sweep-factor", "sweep-steps", "zipf"});
-  printBanner(
-      "KV service", "sharded store under open-loop Poisson/Zipfian load",
-      "beyond the paper: service-style tail-latency evaluation (ROADMAP "
-      "item 1);\nread-side elision/bias should hold p99 and saturation "
-      "above the plain Lock.");
+               {"chaos-gap-ms", "chaos-kinds", "chaos-max-ms", "chaos-min-ms",
+                "deadline-us", "degraded-slo-us", "duration-ms", "keys", "pin",
+                "policies", "rate", "retry-burst", "retry-rate", "shards",
+                "shed-window-ms", "slow-shard-us", "stall-bound-ms", "zipf"});
+  printBanner("KV service", "sharded store under a seeded fault campaign",
+              "beyond the paper: open-loop overload resilience (DESIGN.md "
+              "§17);\nno oracle may break under any fault, on any policy.");
 
   // A duration flag given in \p UnitNs units, returned in ns.
   auto NsFlag = [&](const char *Flag, int64_t Default, uint64_t UnitNs) {
@@ -673,51 +502,50 @@ int main(int Argc, char **Argv) {
   };
   constexpr uint64_t Us = 1000, Ms = 1000000;
 
-  KvBenchParams P;
+  SoakParams P;
   P.Shards = static_cast<unsigned>(Env.Args.getInt("shards", 16));
   P.Keys = static_cast<uint64_t>(
       Env.Args.getInt("keys", Env.Quick ? 4096 : 1 << 16));
   P.Zipf = Env.Args.getDouble("zipf", 0.99);
-  P.PutPct = static_cast<unsigned>(Env.Args.getInt("put", 3));
-  P.DelPct = static_cast<unsigned>(Env.Args.getInt("del", 1));
-  P.ScanPct = static_cast<unsigned>(Env.Args.getInt("scan", 1));
   P.Threads = static_cast<int>(Env.Args.getInt("threads", Env.Quick ? 2 : 4));
-  P.DurationNs = NsFlag("duration-ms", Env.Quick ? 60 : 400, Ms);
+  // A fault campaign needs room.
+  P.DurationNs = NsFlag("duration-ms", Env.Quick ? 1500 : 5000, Ms);
   P.Pin = Env.Args.getBool("pin", true);
   P.Seed = Env.Seed;
-  P.BurstFactor = Env.Args.getDouble("burst-factor", 1.0);
-  P.BurstPeriodNs = NsFlag("burst-period-ms", 200, Ms);
-  P.BurstLenNs = NsFlag("burst-len-ms", 50, Ms);
-  SOLERO_CHECK(P.PutPct + P.DelPct + P.ScanPct <= 100,
-               "op mix exceeds 100 percent");
+  P.RatePerSec = Env.Args.getDouble("rate", Env.Quick ? 3000 : 15000);
+  P.DeadlineNs = NsFlag("deadline-us", Env.Quick ? 50000 : 20000, Us);
+  P.DegradedSloNs = NsFlag("degraded-slo-us",
+                           static_cast<int64_t>(3 * P.DeadlineNs / Us), Us);
+  P.WindowNs = NsFlag("shed-window-ms", 50, Ms);
+  P.RetryPerSec = Env.Args.getDouble("retry-rate", 200);
+  P.RetryBurst = Env.Args.getDouble("retry-burst", 20);
+  P.Chaos.Seed = Env.Seed;
+  P.Chaos.MeanGapNs = NsFlag("chaos-gap-ms", 150, Ms);
+  P.Chaos.MinEventNs = NsFlag("chaos-min-ms", 30, Ms);
+  P.Chaos.MaxEventNs = NsFlag("chaos-max-ms", 100, Ms);
+  P.Chaos.SlowShardDelayNs = NsFlag("slow-shard-us", 200, Us);
+  P.Chaos.KindMask =
+      static_cast<uint32_t>(Env.Args.getInt("chaos-kinds", 0xffffffff));
+  // Shed before deadlines blow: breach at half the request budget.
+  P.Shed.SloP99Ns = P.DeadlineNs / 2;
+  P.Shed.BacklogBreachNs = P.DeadlineNs;
+  P.Wd.StallBoundNs = NsFlag("stall-bound-ms", 100, Ms);
 
-  SweepParams Sweep;
-  Sweep.BaseRate = Env.Args.getDouble("rate", Env.Quick ? 4000 : 30000);
-  Sweep.Factor = Env.Args.getDouble("sweep-factor", 1.6);
-  Sweep.Steps = static_cast<int>(
-      Env.Args.getInt("sweep-steps", Env.Quick ? 2 : 7));
-  Sweep.SloNs = NsFlag("slo-us", Env.Quick ? 50000 : 2000, Us);
-
-  std::printf("shards=%u keys=%llu zipf=%.2f mix=GET %u%% / PUT %u%% / "
-              "DEL %u%% / SCAN %u%% threads=%d\nwindow=%llums "
-              "burst-factor=%.1f pin=%d sweep: %g ops/s x%.2f, %d steps, "
-              "p99 SLO %llu us\n",
+  std::printf("shards=%u keys=%llu zipf=%.2f threads=%d window=%llums pin=%d\n"
+              "chaos: deadline %llu us, degraded SLO %llu us, rate %g/s, "
+              "shed window %llu ms, retry %.0f/s burst %.0f\n",
               P.Shards, static_cast<unsigned long long>(P.Keys), P.Zipf,
-              100 - P.PutPct - P.DelPct - P.ScanPct, P.PutPct, P.DelPct,
-              P.ScanPct, P.Threads,
-              static_cast<unsigned long long>(P.DurationNs / 1000000),
-              P.BurstFactor, P.Pin ? 1 : 0, Sweep.BaseRate, Sweep.Factor,
-              Sweep.Steps,
-              static_cast<unsigned long long>(Sweep.SloNs / 1000));
+              P.Threads, static_cast<unsigned long long>(P.DurationNs / Ms),
+              P.Pin ? 1 : 0, static_cast<unsigned long long>(P.DeadlineNs / Us),
+              static_cast<unsigned long long>(P.DegradedSloNs / Us),
+              P.RatePerSec, static_cast<unsigned long long>(P.WindowNs / Ms),
+              P.RetryPerSec, P.RetryBurst);
 
-  const bool ChaosMode =
-      Env.Args.has("chaos") && Env.Args.getBool("chaos", true);
   const ZipfianSampler Zipf(P.Keys, P.Zipf);
-  // The chaos soak defaults to the two adaptive-speculation stacks (the
-  // states the watchdog guards); the sweep keeps its portfolio default.
-  std::string Policies = Env.Args.getString(
-      "policies", ChaosMode ? "Adaptive-SOLERO,BravoRW"
-                            : "Lock,RWLock,BravoRW,SOLERO,SeqLock");
+  // The default is the two adaptive-speculation stacks (the states the
+  // watchdog guards).
+  std::string Policies =
+      Env.Args.getString("policies", "Adaptive-SOLERO,BravoRW");
   JsonReport Json("kv_service");
   // Exact comma-token match ("Lock" must not select RWLock or SeqLock).
   const std::string Tokens = "," + Policies + ",";
@@ -726,76 +554,16 @@ int main(int Argc, char **Argv) {
            Tokens.find(",all,") != std::string::npos;
   };
 
-  ChaosSoakParams CS;
-  const std::string CkptPath = Env.Args.getString("checkpoint", "");
-  const std::string RestPath = Env.Args.getString("restore", "");
-  image::ImageBuilder Builder;
-  image::ImageBuilder *Ckpt = CkptPath.empty() ? nullptr : &Builder;
-  image::LoadedImage Warm;
-  if (ChaosMode) {
-    if (!Env.Args.has("duration-ms")) // a fault campaign needs room
-      P.DurationNs = (Env.Quick ? 1500 : 5000) * Ms;
-    P.BurstFactor = 1.0; // the soak offers a fixed rate
-    CS.RatePerSec = Env.Args.getDouble("rate", Env.Quick ? 3000 : 15000);
-    CS.DeadlineNs = NsFlag("deadline-us", Env.Quick ? 50000 : 20000, Us);
-    CS.DegradedSloNs = NsFlag(
-        "degraded-slo-us", static_cast<int64_t>(3 * CS.DeadlineNs / Us), Us);
-    CS.WindowNs = NsFlag("shed-window-ms", 50, Ms);
-    CS.RetryPerSec = Env.Args.getDouble("retry-rate", 200);
-    CS.RetryBurst = Env.Args.getDouble("retry-burst", 20);
-    CS.Chaos.Seed = Env.Seed;
-    CS.Chaos.MeanGapNs = NsFlag("chaos-gap-ms", 150, Ms);
-    CS.Chaos.MinEventNs = NsFlag("chaos-min-ms", 30, Ms);
-    CS.Chaos.MaxEventNs = NsFlag("chaos-max-ms", 100, Ms);
-    CS.Chaos.SlowShardDelayNs = NsFlag("slow-shard-us", 200, Us);
-    CS.Chaos.KindMask = static_cast<uint32_t>(
-        Env.Args.getInt("chaos-kinds", 0xffffffff));
-    // Shed before deadlines blow: breach at half the request budget.
-    CS.Shed.SloP99Ns = CS.DeadlineNs / 2;
-    CS.Shed.BacklogBreachNs = CS.DeadlineNs;
-    CS.Wd.StallBoundNs = NsFlag("stall-bound-ms", 100, Ms);
-    std::printf("chaos: deadline %llu us, degraded SLO %llu us, rate %g/s, "
-                "shed window %llu ms, retry %.0f/s burst %.0f\n",
-                static_cast<unsigned long long>(CS.DeadlineNs / 1000),
-                static_cast<unsigned long long>(CS.DegradedSloNs / 1000),
-                CS.RatePerSec,
-                static_cast<unsigned long long>(CS.WindowNs / 1000000),
-                CS.RetryPerSec, CS.RetryBurst);
-  } else if (!RestPath.empty()) {
-    image::Diagnostic LoadDiag;
-    Warm = image::LoadedImage::fromFile(RestPath, LoadDiag);
-    if (!LoadDiag.ok()) // degrade to a cold run, never crash
-      std::printf("warm image: %s\n", LoadDiag.render().c_str());
-  }
-  const image::LoadedImage *WarmP = Warm.loaded() ? &Warm : nullptr;
-
-  // The one policy list both modes select from. Adaptive-SOLERO is off
-  // the sweep's default list; it carries the richest controller state.
   uint64_t Violations = 0;
   forEachPolicy<TasukiPolicy, RwPolicy, BravoRwPolicy, SoleroPolicy,
                 AdaptiveSoleroPolicy, SeqLockPolicy>([&]<typename Policy>() {
-    if (!Wants(Policy::name()))
-      return;
-    if (ChaosMode)
-      Violations += runChaosSoak<Policy>(Env, Json, P, Zipf, CS);
-    else
-      runSweep<Policy>(Env, Json, P, Sweep, Zipf, Ckpt, WarmP);
+    if (Wants(Policy::name()))
+      Violations += runChaosSoak<Policy>(Env, Json, P, Zipf);
   });
 
   const bool JsonOk = Json.write(Env.JsonPath);
-  if (ChaosMode) {
-    std::printf("\nchaos verdict: %llu oracle violation(s)%s\n",
-                static_cast<unsigned long long>(Violations),
-                Violations ? " [FAIL]" : " [ok]");
-    return (Violations == 0 && JsonOk) ? 0 : 1;
-  }
-  if (Ckpt) {
-    image::Diagnostic D;
-    if (Builder.writeFile(CkptPath, D))
-      std::printf("\ncheckpoint: wrote warm image (%zu policy blobs) to %s\n",
-                  Builder.blobCount(), CkptPath.c_str());
-    else
-      std::fprintf(stderr, "checkpoint: %s\n", D.render().c_str());
-  }
-  return JsonOk ? 0 : 1;
+  std::printf("\nchaos verdict: %llu oracle violation(s)%s\n",
+              static_cast<unsigned long long>(Violations),
+              Violations ? " [FAIL]" : " [ok]");
+  return (Violations == 0 && JsonOk) ? 0 : 1;
 }

@@ -13,7 +13,8 @@
 ///  - an Interpreter's profile plus its SOLERO lock's controller cell; the
 ///    restoring interpreter re-derives classification and translation from
 ///    the profile itself (Interpreter::adoptProfile),
-///  - per-shard lock state of a ShardedKvStore (templated over policy).
+///  - per-shard lock state of a ShardedKvStore (templated over policy;
+///    decode side only, which the chaos soak's CorruptRestore fault feeds).
 ///
 /// Callers put each encoded state into a named blob with ImageBuilder and
 /// look it up again in a LoadedImage (image/Image.h).
@@ -75,34 +76,11 @@ bool readJitWarmState(ImageReader &R, jit::Interpreter &I);
 // restore into a store of a different policy or shard count fails the
 // whole blob — per the fallback policy the store simply starts cold.
 
-inline void writeShardLockState(ImageWriter &W, SoleroLock &L) {
-  W.u8(1);
-  writeControllerState(W, L.controller());
-}
-inline void writeShardLockState(ImageWriter &W, BravoRwLock &L) {
-  W.u8(2);
-  writeBravoState(W, L);
-}
 inline bool readShardLockState(ImageReader &R, SoleroLock &L) {
   return R.u8() == 1 && readControllerState(R, L.controller());
 }
 inline bool readShardLockState(ImageReader &R, BravoRwLock &L) {
   return R.u8() == 2 && readBravoState(R, L);
-}
-
-template <typename Policy>
-std::vector<uint8_t> snapshotKvLockState(kv::ShardedKvStore<Policy> &Store) {
-  ImageWriter W;
-  W.u32(Store.shardCount());
-  for (unsigned I = 0; I < Store.shardCount(); ++I) {
-    if constexpr (requires(Policy &P, ImageWriter &W2) {
-                    writeShardLockState(W2, P.protocol());
-                  })
-      writeShardLockState(W, Store.shardPolicy(I).protocol());
-    else
-      W.u8(0); // policy carries no adaptive lock state
-  }
-  return W.take();
 }
 
 template <typename Policy>

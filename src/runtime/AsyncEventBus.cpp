@@ -14,6 +14,9 @@ void AsyncEventBus::start(std::chrono::microseconds Period) {
   bool Expected = false;
   if (!Running.compare_exchange_strong(Expected, true))
     return;
+  // Construct the registry before the ticker that reads it, so that it is
+  // destroyed after any static context whose bus is still running at exit.
+  ThreadRegistry::instance();
   Worker = std::thread([this, Period] {
     while (Running.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(Period);

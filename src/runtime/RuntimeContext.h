@@ -32,8 +32,6 @@ struct RuntimeConfig {
   /// Period of the asynchronous read-validation event (Section 3.3);
   /// 0 disables the background ticker.
   std::chrono::microseconds AsyncEventPeriod{2000};
-  /// Start the async event ticker automatically with the context.
-  bool StartEventBus = true;
 };
 
 /// Per-"VM" runtime services.
@@ -41,7 +39,7 @@ class RuntimeContext {
 public:
   explicit RuntimeContext(RuntimeConfig Config = RuntimeConfig())
       : Config(Config) {
-    if (Config.StartEventBus && Config.AsyncEventPeriod.count() > 0)
+    if (Config.AsyncEventPeriod.count() > 0)
       Bus.start(Config.AsyncEventPeriod);
   }
 

@@ -29,7 +29,7 @@
 ///
 /// The campaign is a pure function of the seed: event kinds, offsets,
 /// durations, and parameters are drawn from a SplitMix64 stream at
-/// construction, so `--chaos --seed=N` replays byte-for-byte the same
+/// construction, so `kv_service --seed=N` replays byte-for-byte the same
 /// schedule (scheduleString() is printed and diffable across runs). The
 /// director thread applies each event at its offset and reverts it at its
 /// end; workers observe faults through lock-free accessors.

@@ -7,7 +7,7 @@
 /// \file
 /// The whole-store invariants of a kv::ShardedKvStore under concurrent
 /// traffic, shared by the ShardedKv torture mix (stress/TortureRunner.cpp)
-/// and the chaos soak (`bench/kv_service --chaos`). The oracle owns
+/// and the chaos soak (`bench/kv_service`). The oracle owns
 ///
 ///   - one invariant pair per shard (A, B == -A), changed only by
 ///     bumpPair() in one write section under an exclusion token, plus the

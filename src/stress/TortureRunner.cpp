@@ -303,7 +303,6 @@ RuntimeConfig solero::stress::adversarialTortureRuntime() {
   C.Tiers = SpinTiers{4, 2, 1};
   C.ParkMicros = std::chrono::microseconds(25000);
   C.AsyncEventPeriod = std::chrono::microseconds(0);
-  C.StartEventBus = false;
   return C;
 }
 

@@ -28,7 +28,7 @@ namespace {
 
 RuntimeConfig quietConfig() {
   RuntimeConfig C;
-  C.StartEventBus = false;
+  C.AsyncEventPeriod = std::chrono::microseconds(0);
   return C;
 }
 

@@ -8,6 +8,8 @@
 #include "jit/MethodBuilder.h"
 #include "jit/ReadOnlyClassifier.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 using namespace solero;
@@ -15,14 +17,11 @@ using namespace solero::jit;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
+using Arrays = SuiteContext<>;
 
 } // namespace
 
-TEST(Arrays, NewArrayLoadStoreRoundTrip) {
+TEST_F(Arrays, NewArrayLoadStoreRoundTrip) {
   // arr = new[5]; arr[2] = 42; return arr[2] + arr.length;
   MethodBuilder B("roundtrip", 0, 1);
   B.constant(5).newArray().store(0);
@@ -36,7 +35,7 @@ TEST(Arrays, NewArrayLoadStoreRoundTrip) {
   EXPECT_EQ(I.invoke("roundtrip", {}).asInt(), 47);
 }
 
-TEST(Arrays, FreshArrayIsZeroed) {
+TEST_F(Arrays, FreshArrayIsZeroed) {
   MethodBuilder B("zeroed", 0, 1);
   B.constant(8).newArray().store(0);
   B.load(0).constant(7).aload().ret();
@@ -46,7 +45,7 @@ TEST(Arrays, FreshArrayIsZeroed) {
   EXPECT_EQ(I.invoke("zeroed", {}).asInt(), 0);
 }
 
-TEST(Arrays, BoundsAndSizeErrors) {
+TEST_F(Arrays, BoundsAndSizeErrors) {
   auto RunExpectingError = [&](auto Build, GuestErrorKind Kind) {
     MethodBuilder B("bad", 0, 1);
     Build(B);
@@ -81,7 +80,7 @@ TEST(Arrays, BoundsAndSizeErrors) {
       GuestErrorKind::NegativeArraySize);
 }
 
-TEST(Arrays, SummingLoopOverArray) {
+TEST_F(Arrays, SummingLoopOverArray) {
   // sum = 0; for (i = 0; i < arr.length; i++) sum += arr[i];
   MethodBuilder B("sum", 1, 3);
   auto Loop = B.newLabel(), Done = B.newLabel();
@@ -103,7 +102,7 @@ TEST(Arrays, SummingLoopOverArray) {
   EXPECT_EQ(I.invoke("sum", {Value::ofArr(Arr)}).asInt(), 55);
 }
 
-TEST(Arrays, ArrayReadInsideRegionIsReadOnly) {
+TEST_F(Arrays, ArrayReadInsideRegionIsReadOnly) {
   // synchronized (obj) { x = arr[0]; } — ALoad is not a write.
   MethodBuilder B("readArr", 2, 3);
   B.load(0).syncEnter();
@@ -115,7 +114,7 @@ TEST(Arrays, ArrayReadInsideRegionIsReadOnly) {
   EXPECT_EQ(classifyModule(M).regions(0)[0].Kind, RegionKind::ReadOnly);
 }
 
-TEST(Arrays, ArrayWriteInsideRegionIsWriting) {
+TEST_F(Arrays, ArrayWriteInsideRegionIsWriting) {
   // synchronized (obj) { arr[0] = 1; } — the Section 3.2 exclusion.
   MethodBuilder B("writeArr", 2, 2);
   B.load(0).syncEnter();
@@ -131,7 +130,7 @@ TEST(Arrays, ArrayWriteInsideRegionIsWriting) {
   EXPECT_NE(regionReason(M, R).find("astore"), std::string::npos);
 }
 
-TEST(Arrays, ElidedArrayReadExecutes) {
+TEST_F(Arrays, ElidedArrayReadExecutes) {
   MethodBuilder B("readArr", 2, 3);
   B.load(0).syncEnter();
   B.load(1).constant(1).aload().store(2);
@@ -151,7 +150,7 @@ TEST(Arrays, ElidedArrayReadExecutes) {
   EXPECT_EQ(After.ElisionSuccesses - Before.ElisionSuccesses, 1u);
 }
 
-TEST(Arrays, VerifierRejectsArrayStackUnderflow) {
+TEST_F(Arrays, VerifierRejectsArrayStackUnderflow) {
   MethodBuilder B("bad", 0, 0);
   B.aload().ret(); // needs two operands
   Module M;

@@ -10,6 +10,8 @@
 #include "jit/MethodBuilder.h"
 #include "jit/Verifier.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 using namespace solero;
@@ -17,10 +19,7 @@ using namespace solero::jit;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
+using Assembler = SuiteContext<>;
 
 const char *FactorialSource = R"(
 ; iterative factorial
@@ -49,7 +48,7 @@ Done:
 
 } // namespace
 
-TEST(Assembler, ParsesAndRunsFactorial) {
+TEST_F(Assembler, ParsesAndRunsFactorial) {
   AsmResult R = assembleModule(FactorialSource);
   ASSERT_TRUE(R.Ok) << R.Error << " (line " << R.Line << ")";
   ASSERT_TRUE(verifyModule(R.M).Ok);
@@ -57,7 +56,7 @@ TEST(Assembler, ParsesAndRunsFactorial) {
   EXPECT_EQ(I.invoke("fact", {Value::ofInt(6)}).asInt(), 720);
 }
 
-TEST(Assembler, ParsesAnnotationsAndStatics) {
+TEST_F(Assembler, ParsesAnnotationsAndStatics) {
   AsmResult R = assembleModule(R"(
 statics 7
 method tagged(params=1, locals=1) @SoleroReadOnly {
@@ -74,7 +73,7 @@ method tagged(params=1, locals=1) @SoleroReadOnly {
   EXPECT_FALSE(R.M.method(0).AnnotatedReadMostly);
 }
 
-TEST(Assembler, ResolvesForwardInvokes) {
+TEST_F(Assembler, ResolvesForwardInvokes) {
   AsmResult R = assembleModule(R"(
 method main(params=0, locals=0) {
   const 20
@@ -93,7 +92,7 @@ method double(params=1, locals=1) {
   EXPECT_EQ(I.invoke("main", {}).asInt(), 40);
 }
 
-TEST(Assembler, DiagnosesUnknownOpcodeWithLine) {
+TEST_F(Assembler, DiagnosesUnknownOpcodeWithLine) {
   AsmResult R = assembleModule(R"(
 method bad(params=0, locals=0) {
   const 1
@@ -106,7 +105,7 @@ method bad(params=0, locals=0) {
   EXPECT_EQ(R.Line, 4);
 }
 
-TEST(Assembler, DiagnosesUndefinedLabel) {
+TEST_F(Assembler, DiagnosesUndefinedLabel) {
   AsmResult R = assembleModule(R"(
 method bad(params=0, locals=0) {
   jump Nowhere
@@ -118,13 +117,13 @@ method bad(params=0, locals=0) {
   EXPECT_NE(R.Error.find("Nowhere"), std::string::npos);
 }
 
-TEST(Assembler, DiagnosesUnclosedMethod) {
+TEST_F(Assembler, DiagnosesUnclosedMethod) {
   AsmResult R = assembleModule("method open(params=0, locals=0) {\n  const 0\n");
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("not closed"), std::string::npos);
 }
 
-TEST(Assembler, DiagnosesUnknownInvokeTarget) {
+TEST_F(Assembler, DiagnosesUnknownInvokeTarget) {
   AsmResult R = assembleModule(R"(
 method main(params=0, locals=0) {
   invoke ghost
@@ -135,7 +134,7 @@ method main(params=0, locals=0) {
   EXPECT_NE(R.Error.find("ghost"), std::string::npos);
 }
 
-TEST(Assembler, RoundTripsThroughWriter) {
+TEST_F(Assembler, RoundTripsThroughWriter) {
   // Build a representative module programmatically, write it out, parse it
   // back, and check instruction-level equality.
   Module M;
@@ -184,7 +183,7 @@ TEST(Assembler, RoundTripsThroughWriter) {
   ASSERT_TRUE(verifyModule(R.M).Ok);
 }
 
-TEST(Assembler, GuestProgramWithMonitorOpsRoundTrips) {
+TEST_F(Assembler, GuestProgramWithMonitorOpsRoundTrips) {
   AsmResult R = assembleModule(R"(
 method pingpong(params=1, locals=1) {
   load 0

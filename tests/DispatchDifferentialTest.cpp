@@ -20,6 +20,8 @@
 #include "runtime/ThreadRegistry.h"
 #include "support/Rng.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -31,14 +33,14 @@ namespace {
 
 /// Event bus off: a mid-run poll-flag tick would abort a speculation in
 /// one run but not its twin, making the statistic comparison flaky.
-RuntimeContext &quietCtx() {
-  static RuntimeContext *Ctx = [] {
+class DispatchDifferential : public SuiteContext<> {
+public:
+  static void SetUpTestSuite() {
     RuntimeConfig C;
-    C.StartEventBus = false;
-    return new RuntimeContext(C);
-  }();
-  return *Ctx;
-}
+    C.AsyncEventPeriod = std::chrono::microseconds(0);
+    start(C);
+  }
+};
 
 constexpr int NumScratch = 6; // main's scratch locals: slots 2..7
 // Dedicated ref-typed local for the in-region result holder (always
@@ -220,7 +222,7 @@ struct RunResult {
 };
 
 RunResult run(uint64_t Seed, Interpreter::Options Opts) {
-  Interpreter I(quietCtx(), buildRandomModule(Seed), Opts);
+  Interpreter I(DispatchDifferential::ctx(), buildRandomModule(Seed), Opts);
   GuestObject *Obj = I.allocateObject();
   SplitMix64 R(Seed ^ 0x9e3779b97f4a7c15ULL);
   for (uint32_t F = 0; F < ObjectIntFields; ++F)
@@ -278,7 +280,7 @@ void expectSame(const RunResult &A, const RunResult &B, uint64_t Seed) {
 
 } // namespace
 
-TEST(DispatchDifferential, ThreadedMatchesReferenceUnderSolero) {
+TEST_F(DispatchDifferential, ThreadedMatchesReferenceUnderSolero) {
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
     Interpreter::Options Threaded;
     Threaded.Mode = DispatchMode::Threaded;
@@ -288,7 +290,7 @@ TEST(DispatchDifferential, ThreadedMatchesReferenceUnderSolero) {
   }
 }
 
-TEST(DispatchDifferential, ThreadedMatchesReferenceUnderConventionalLocks) {
+TEST_F(DispatchDifferential, ThreadedMatchesReferenceUnderConventionalLocks) {
   for (uint64_t Seed = 100; Seed <= 115; ++Seed) {
     Interpreter::Options Threaded;
     Threaded.Mode = DispatchMode::Threaded;
@@ -300,7 +302,7 @@ TEST(DispatchDifferential, ThreadedMatchesReferenceUnderConventionalLocks) {
   }
 }
 
-TEST(DispatchDifferential, FusionIsSemanticallyInvisible) {
+TEST_F(DispatchDifferential, FusionIsSemanticallyInvisible) {
   for (uint64_t Seed = 200; Seed <= 212; ++Seed) {
     Interpreter::Options Fused;
     Fused.Mode = DispatchMode::Threaded;
@@ -311,7 +313,7 @@ TEST(DispatchDifferential, FusionIsSemanticallyInvisible) {
   }
 }
 
-TEST(DispatchDifferential, BakedProfileCountsMatchReference) {
+TEST_F(DispatchDifferential, BakedProfileCountsMatchReference) {
   // The threaded engine's translation-time ProfileCount instrumentation
   // must reproduce the reference engine's per-original-pc counts exactly.
   for (uint64_t Seed = 300; Seed <= 308; ++Seed) {
@@ -325,7 +327,7 @@ TEST(DispatchDifferential, BakedProfileCountsMatchReference) {
   }
 }
 
-TEST(DispatchDifferential, StepBudgetAgreesAcrossEngines) {
+TEST_F(DispatchDifferential, StepBudgetAgreesAcrossEngines) {
   // Budget counts back edges + invokes identically in both engines: a
   // tight budget must trip (or not) at the same program for both.
   MethodBuilder B("spin", 1, 1);
@@ -343,7 +345,7 @@ TEST(DispatchDifferential, StepBudgetAgreesAcrossEngines) {
     Interpreter::Options Opts;
     Opts.Mode = Mode;
     Opts.MaxSteps = 1u << 20; // plenty for 1000 iterations of back edges
-    Interpreter I(quietCtx(), std::move(M2), Opts);
+    Interpreter I(ctx(), std::move(M2), Opts);
     EXPECT_EQ(I.invoke("spin", {Value::ofInt(1000)}).asInt(), 0);
   }
 }

@@ -9,6 +9,8 @@
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 using namespace solero;
@@ -25,14 +27,14 @@ Module moduleOf(Method M, uint32_t NumStatics = 4) {
 
 /// Event bus off: a mid-run poll-flag tick would abort a speculation and
 /// skew the elision counters the end-to-end test asserts on.
-RuntimeContext &ctx() {
-  static RuntimeContext *Ctx = [] {
+class EscapeClassifier : public SuiteContext<> {
+public:
+  static void SetUpTestSuite() {
     RuntimeConfig C;
-    C.StartEventBus = false;
-    return new RuntimeContext(C);
-  }();
-  return *Ctx;
-}
+    C.AsyncEventPeriod = std::chrono::microseconds(0);
+    start(C);
+  }
+};
 
 /// synchronized (this) { h = new; h.F0 = this.F0; h.F1 = this.F1 + 1;
 /// return-local h.F0 + h.F1 } — the "allocate a result holder, fill it,
@@ -147,7 +149,7 @@ TEST(EscapeAnalysis, AllocationOutsideRegionIsNotRegionLocal) {
   EXPECT_EQ(E.writeBaseAllocPc(6), 0u);
 }
 
-TEST(EscapeClassifier, SnapshotRegionFlipsWritingToReadOnly) {
+TEST_F(EscapeClassifier, SnapshotRegionFlipsWritingToReadOnly) {
   Module M = moduleOf(buildSnapshot());
 
   ClassifierOptions Off;
@@ -173,7 +175,7 @@ TEST(EscapeClassifier, SnapshotRegionFlipsWritingToReadOnly) {
   EXPECT_FALSE(Refined.writeIsBenign(0, 4));
 }
 
-TEST(EscapeClassifier, EscapingHolderStaysWritingWithDiagnostic) {
+TEST_F(EscapeClassifier, EscapingHolderStaysWritingWithDiagnostic) {
   // synchronized { h = new; this.R[0] = h; h.F0 = 1; } — publishing the
   // holder disqualifies it; the write gets the escape diagnostic with
   // both pcs, and the rendering carries the fix hint.
@@ -206,7 +208,7 @@ TEST(EscapeClassifier, EscapingHolderStaysWritingWithDiagnostic) {
   EXPECT_FALSE(C.writeIsBenign(0, 9));
 }
 
-TEST(EscapeClassifier, FreshArrayFillIsReadOnly) {
+TEST_F(EscapeClassifier, FreshArrayFillIsReadOnly) {
   // synchronized { a = new int[4]; a[0] = x; s = a[0]; } — astore into a
   // region-local array is as benign as a field write.
   MethodBuilder B("arrSnap", 1, 3);
@@ -222,7 +224,7 @@ TEST(EscapeClassifier, FreshArrayFillIsReadOnly) {
   EXPECT_TRUE(C.writeIsBenign(0, 9));
 }
 
-TEST(EscapeClassifier, SnapshotExecutesElidedOnBothEngines) {
+TEST_F(EscapeClassifier, SnapshotExecutesElidedOnBothEngines) {
   // End-to-end: the reclassified snapshot region actually runs down the
   // Figure 7 elided path, and both engines agree on results and elision
   // statistics.
@@ -247,7 +249,7 @@ TEST(EscapeClassifier, SnapshotExecutesElidedOnBothEngines) {
   }
 }
 
-TEST(EscapeClassifier, AblationOptionDisablesBenignWrites) {
+TEST_F(EscapeClassifier, AblationOptionDisablesBenignWrites) {
   // With EscapeAnalysis off the same program takes the conventional lock
   // and still computes the same answer.
   Interpreter::Options Opts;

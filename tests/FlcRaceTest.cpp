@@ -44,7 +44,6 @@ RuntimeConfig raceConfig() {
   C.Tiers = SpinTiers{1, 1, 1}; // exhaust spinning instantly: straight to FLC
   C.ParkMicros = ParkMicros;
   C.AsyncEventPeriod = std::chrono::microseconds(0);
-  C.StartEventBus = false;
   return C;
 }
 

@@ -7,6 +7,8 @@
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,15 +19,14 @@ using namespace solero::jit;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeConfig Cfg = [] {
+class GuestMonitor : public SuiteContext<> {
+public:
+  static void SetUpTestSuite() {
     RuntimeConfig C;
     C.ParkMicros = std::chrono::microseconds(200);
-    return C;
-  }();
-  static RuntimeContext Ctx(Cfg);
-  return Ctx;
-}
+    start(C);
+  }
+};
 
 /// consume(obj):  synchronized (obj) { while (obj.F0 == 0) wait(obj);
 ///                v = obj.F0; obj.F0 = 0; notifyAll(obj); return v; }
@@ -69,7 +70,7 @@ Module buildHandshake() {
 
 } // namespace
 
-TEST(GuestMonitor, WaitRegionsAreClassifiedWriting) {
+TEST_F(GuestMonitor, WaitRegionsAreClassifiedWriting) {
   // wait/notify are side effects: never elidable (Section 3.2).
   Module M = buildHandshake();
   ClassifiedModule C = classifyModule(M);
@@ -77,7 +78,7 @@ TEST(GuestMonitor, WaitRegionsAreClassifiedWriting) {
   EXPECT_EQ(C.regions(1)[0].Kind, RegionKind::Writing);
 }
 
-TEST(GuestMonitor, ProducerConsumerUnderSolero) {
+TEST_F(GuestMonitor, ProducerConsumerUnderSolero) {
   Interpreter I(ctx(), buildHandshake());
   GuestObject *Box = I.allocateObject();
   int64_t Sum = 0;
@@ -95,7 +96,7 @@ TEST(GuestMonitor, ProducerConsumerUnderSolero) {
   EXPECT_TRUE(lockword::soleroIsFree(Box->Hdr.word().load()));
 }
 
-TEST(GuestMonitor, ProducerConsumerUnderConventional) {
+TEST_F(GuestMonitor, ProducerConsumerUnderConventional) {
   Interpreter::Options Opts;
   Opts.UseConventionalLocks = true;
   Interpreter I(ctx(), buildHandshake(), Opts);
@@ -115,7 +116,7 @@ TEST(GuestMonitor, ProducerConsumerUnderConventional) {
   EXPECT_EQ(Box->Hdr.word().load(), 0u);
 }
 
-TEST(GuestMonitor, WaitOutsideMonitorThrows) {
+TEST_F(GuestMonitor, WaitOutsideMonitorThrows) {
   MethodBuilder B("badWait", 1, 1);
   B.load(0).monitorWait();
   B.constant(0).ret();
@@ -132,7 +133,7 @@ TEST(GuestMonitor, WaitOutsideMonitorThrows) {
   }
 }
 
-TEST(GuestMonitor, NotifyOnDifferentObjectThrows) {
+TEST_F(GuestMonitor, NotifyOnDifferentObjectThrows) {
   // synchronized (a) { notify(b); } — b's monitor is not held.
   MethodBuilder B("cross", 2, 2);
   B.load(0).syncEnter();

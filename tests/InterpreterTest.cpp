@@ -8,6 +8,8 @@
 
 #include "jit/MethodBuilder.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,16 +21,13 @@ using namespace solero::jit;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
+using InterpreterTest = SuiteContext<>;
 
 ProtocolCounters totals() { return ThreadRegistry::instance().totalCounters(); }
 
 } // namespace
 
-TEST(Interpreter, ArithmeticAndControlFlow) {
+TEST_F(InterpreterTest, ArithmeticAndControlFlow) {
   // Iterative factorial.
   MethodBuilder B("fact", 1, 2);
   auto Loop = B.newLabel(), Done = B.newLabel();
@@ -46,7 +45,7 @@ TEST(Interpreter, ArithmeticAndControlFlow) {
   EXPECT_EQ(I.invoke("fact", {Value::ofInt(10)}).asInt(), 3628800);
 }
 
-TEST(Interpreter, InvokeAndRecursion) {
+TEST_F(InterpreterTest, InvokeAndRecursion) {
   Module M;
   {
     MethodBuilder Fib("fib", 1, 1);
@@ -63,7 +62,7 @@ TEST(Interpreter, InvokeAndRecursion) {
   EXPECT_EQ(I.invoke("fib", {Value::ofInt(15)}).asInt(), 610);
 }
 
-TEST(Interpreter, GuestErrorsPropagate) {
+TEST_F(InterpreterTest, GuestErrorsPropagate) {
   MethodBuilder B("div", 2, 2);
   B.load(0).load(1).div().ret();
   Module M;
@@ -78,7 +77,7 @@ TEST(Interpreter, GuestErrorsPropagate) {
   }
 }
 
-TEST(Interpreter, NullDereferenceThrows) {
+TEST_F(InterpreterTest, NullDereferenceThrows) {
   MethodBuilder B("deref", 0, 0);
   B.pushNull().getField(0).ret();
   Module M;
@@ -92,7 +91,7 @@ TEST(Interpreter, NullDereferenceThrows) {
   }
 }
 
-TEST(Interpreter, FieldsAndStatics) {
+TEST_F(InterpreterTest, FieldsAndStatics) {
   MethodBuilder B("swapIntoStatic", 1, 1);
   B.load(0).getField(2).putStatic(1);
   B.load(0).constant(77).putField(3);
@@ -108,7 +107,7 @@ TEST(Interpreter, FieldsAndStatics) {
   EXPECT_EQ(I.staticCell(1), 123);
 }
 
-TEST(Interpreter, ReadOnlyRegionElides) {
+TEST_F(InterpreterTest, ReadOnlyRegionElides) {
   // synchronized (obj) { return obj.F0; }
   MethodBuilder B("get", 1, 2);
   B.load(0).syncEnter();
@@ -130,7 +129,7 @@ TEST(Interpreter, ReadOnlyRegionElides) {
   EXPECT_EQ(Obj->Hdr.word().load(), 0u);
 }
 
-TEST(Interpreter, WritingRegionLocks) {
+TEST_F(InterpreterTest, WritingRegionLocks) {
   // synchronized (obj) { obj.F0 = obj.F0 + 1; }
   MethodBuilder B("inc", 1, 1);
   B.load(0).syncEnter();
@@ -149,7 +148,7 @@ TEST(Interpreter, WritingRegionLocks) {
   EXPECT_EQ(Obj->Hdr.word().load(), 2 * lockword::CounterUnit);
 }
 
-TEST(Interpreter, ReturnInsideRegionReleasesLock) {
+TEST_F(InterpreterTest, ReturnInsideRegionReleasesLock) {
   MethodBuilder B("early", 1, 1);
   B.load(0).syncEnter();
   B.load(0).getField(0).ret(); // return from inside the region
@@ -164,7 +163,7 @@ TEST(Interpreter, ReturnInsideRegionReleasesLock) {
   EXPECT_TRUE(lockword::soleroIsFree(Obj->Hdr.word().load()));
 }
 
-TEST(Interpreter, GuestThrowInsideElidedRegionIsGenuine) {
+TEST_F(InterpreterTest, GuestThrowInsideElidedRegionIsGenuine) {
   MethodBuilder B("thrower", 1, 1);
   auto NoThrow = B.newLabel();
   B.load(0).syncEnter();
@@ -188,7 +187,7 @@ TEST(Interpreter, GuestThrowInsideElidedRegionIsGenuine) {
   EXPECT_TRUE(lockword::soleroIsFree(Obj->Hdr.word().load()));
 }
 
-TEST(Interpreter, ConventionalModeLocksReadOnlyRegions) {
+TEST_F(InterpreterTest, ConventionalModeLocksReadOnlyRegions) {
   MethodBuilder B("get", 1, 2);
   B.load(0).syncEnter();
   B.load(0).getField(0).store(1);
@@ -208,7 +207,7 @@ TEST(Interpreter, ConventionalModeLocksReadOnlyRegions) {
   EXPECT_GE(After.AtomicRmws - Before.AtomicRmws, 1u);
 }
 
-TEST(Interpreter, ProfileDrivenReclassification) {
+TEST_F(InterpreterTest, ProfileDrivenReclassification) {
   // A region with a write behind an almost-never-true condition: Writing
   // at first, ReadMostly after profiling + reclassification (Section 5).
   MethodBuilder B("mostly", 2, 2);
@@ -244,7 +243,7 @@ TEST(Interpreter, ProfileDrivenReclassification) {
   EXPECT_GE(After.ElisionSuccesses - Before.ElisionSuccesses, 2u);
 }
 
-TEST(Interpreter, ReadMostlyUpgradeWritesCorrectly) {
+TEST_F(InterpreterTest, ReadMostlyUpgradeWritesCorrectly) {
   MethodBuilder B("upd", 2, 2);
   B.annotateReadMostly();
   auto Skip = B.newLabel();
@@ -265,7 +264,7 @@ TEST(Interpreter, ReadMostlyUpgradeWritesCorrectly) {
   EXPECT_TRUE(lockword::soleroIsFree(Obj->Hdr.word().load()));
 }
 
-TEST(Interpreter, ConcurrentGuestCountersAreExact) {
+TEST_F(InterpreterTest, ConcurrentGuestCountersAreExact) {
   // Guest threads increment a shared counter in a writing region while
   // other guest threads read it in an elided region: the final count must
   // be exact and reads monotonic.
@@ -313,7 +312,7 @@ TEST(Interpreter, ConcurrentGuestCountersAreExact) {
   EXPECT_TRUE(Monotonic.load());
 }
 
-TEST(Interpreter, LoopInsideElidedRegionIsRescuable) {
+TEST_F(InterpreterTest, LoopInsideElidedRegionIsRescuable) {
   // A bounded loop inside a read-only region: back-edge check points run
   // (we assert via poll flag consumption) and the result is correct.
   // Locals: 0=obj, 1=n, 2=acc, 3=i. The loop only writes scratch locals

@@ -17,6 +17,8 @@
 #include "support/Rng.h"
 #include "workloads/LockPolicies.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,19 +28,11 @@
 
 using namespace solero;
 
-namespace {
-
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
-
-} // namespace
-
 // --- Randomized maps vs reference model, swept over (seed, write%) ------
 
 class MapModelProperty
-    : public ::testing::TestWithParam<std::tuple<uint64_t, unsigned>> {};
+    : public SuiteContext<
+          ::testing::TestWithParam<std::tuple<uint64_t, unsigned>>> {};
 
 TEST_P(MapModelProperty, HashMapMatchesModelUnderSolero) {
   auto [Seed, WritePct] = GetParam();
@@ -104,7 +98,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Protocol observational equivalence ----------------------------------
 
-class ProtocolEquivalence : public ::testing::TestWithParam<uint64_t> {};
+class ProtocolEquivalence
+    : public SuiteContext<::testing::TestWithParam<uint64_t>> {};
 
 TEST_P(ProtocolEquivalence, SoleroAndTasukiProduceIdenticalResults) {
   // The same deterministic op sequence through SOLERO and through the
@@ -183,7 +178,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LockWordProperty,
 
 // --- Elision engine properties under randomized interference -------------
 
-class ElisionInterference : public ::testing::TestWithParam<unsigned> {};
+class ElisionInterference
+    : public SuiteContext<::testing::TestWithParam<unsigned>> {};
 
 TEST_P(ElisionInterference, SnapshotsAlwaysConsistentAtAnyWriteRate) {
   // Property: whatever the writer rate, an elided two-field snapshot is

@@ -174,17 +174,10 @@ TEST(ReadGuard, CheckpointReportsOutermostFailure) {
   EXPECT_TRUE(Thrown);
 }
 
-TEST(RuntimeContext, EventBusStartsWhenConfigured) {
+TEST(RuntimeContext, ZeroPeriodStartsNoEventBus) {
   RuntimeConfig C;
   C.AsyncEventPeriod = std::chrono::microseconds(500);
-  C.StartEventBus = true;
-  RuntimeContext Ctx(C);
-  EXPECT_TRUE(Ctx.eventBus().running());
-}
-
-TEST(RuntimeContext, EventBusCanBeDisabled) {
-  RuntimeConfig C;
-  C.StartEventBus = false;
-  RuntimeContext Ctx(C);
-  EXPECT_FALSE(Ctx.eventBus().running());
+  EXPECT_TRUE(RuntimeContext(C).eventBus().running());
+  C.AsyncEventPeriod = std::chrono::microseconds(0);
+  EXPECT_FALSE(RuntimeContext(C).eventBus().running());
 }

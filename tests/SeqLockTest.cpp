@@ -56,7 +56,7 @@ TEST(SeqLock, ReadProtectedRetriesUntilConsistent) {
 // second, clean execution's throw propagates.
 TEST(SeqLock, PolicyReExecutesTornThrowAndPropagatesCleanOne) {
   RuntimeConfig RC;
-  RC.StartEventBus = false;
+  RC.AsyncEventPeriod = std::chrono::microseconds(0);
   RuntimeContext Ctx(RC);
   SeqLockPolicy P(Ctx);
   struct Boom {

@@ -34,7 +34,6 @@ RuntimeConfig adversarialConfig() {
   C.Tiers = SpinTiers{4, 2, 1};
   C.ParkMicros = std::chrono::microseconds(100);
   C.AsyncEventPeriod = std::chrono::microseconds(500);
-  C.StartEventBus = true;
   return C;
 }
 

@@ -18,6 +18,8 @@
 #include "support/Rng.h"
 #include "workloads/LockPolicies.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,26 +29,6 @@
 using namespace solero;
 
 namespace {
-
-RuntimeConfig testConfig() {
-  RuntimeConfig C;
-  // Run the async ticker: TreeMap speculation relies on it to break
-  // inconsistent-read descent loops promptly.
-  C.AsyncEventPeriod = std::chrono::microseconds(1000);
-  C.StartEventBus = true;
-  return C;
-}
-
-/// One context shared by all typed tests (contexts are cheap but the event
-/// bus thread is not worth churning per test).
-RuntimeContext &sharedContext() {
-  static RuntimeContext Ctx(testConfig());
-  return Ctx;
-}
-
-template <typename PolicyT> struct PolicyFactory {
-  static PolicyT make() { return PolicyT(sharedContext()); }
-};
 
 struct UnelidedSoleroPolicy : SoleroPolicy {
   explicit UnelidedSoleroPolicy(RuntimeContext &Ctx)
@@ -61,7 +43,16 @@ struct WeakBarrierSoleroPolicy : SoleroPolicy {
 };
 
 template <typename PolicyT>
-class SynchronizedMapTest : public ::testing::Test {};
+class SynchronizedMapTest : public SuiteContext<> {
+public:
+  static void SetUpTestSuite() {
+    RuntimeConfig C;
+    // Run the async ticker: TreeMap speculation relies on it to break
+    // inconsistent-read descent loops promptly.
+    C.AsyncEventPeriod = std::chrono::microseconds(1000);
+    start(C);
+  }
+};
 
 using AllPolicies =
     ::testing::Types<TasukiPolicy, RwPolicy, SoleroPolicy,
@@ -77,7 +68,7 @@ TYPED_TEST_SUITE(SynchronizedMapTest, AllPolicies, PolicyNames);
 } // namespace
 
 TYPED_TEST(SynchronizedMapTest, HashMapSingleThreadBasics) {
-  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(sharedContext());
+  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(this->ctx());
   EXPECT_TRUE(M.put(1, 10));
   EXPECT_EQ(M.get(1).value(), 10);
   EXPECT_TRUE(M.contains(1));
@@ -86,7 +77,7 @@ TYPED_TEST(SynchronizedMapTest, HashMapSingleThreadBasics) {
 }
 
 TYPED_TEST(SynchronizedMapTest, TreeMapSingleThreadBasics) {
-  SynchronizedMap<JavaTreeMap<int64_t, int64_t>, TypeParam> M(sharedContext());
+  SynchronizedMap<JavaTreeMap<int64_t, int64_t>, TypeParam> M(this->ctx());
   for (int64_t I = 0; I < 500; ++I)
     M.put(I, I * 2);
   EXPECT_EQ(M.size(), 500u);
@@ -101,7 +92,7 @@ TYPED_TEST(SynchronizedMapTest, HashMapReadersSeeMonotonicValues) {
   constexpr int64_t Keys = 64;
   constexpr int Rounds = 15000;
   constexpr int Readers = 3;
-  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(sharedContext());
+  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(this->ctx());
   for (int64_t K = 0; K < Keys; ++K)
     M.put(K, 0);
   std::atomic<bool> Stop{false};
@@ -147,7 +138,7 @@ TYPED_TEST(SynchronizedMapTest, TreeMapConcurrentChurnKeepsInvariants) {
   constexpr int Writers = 2, Readers = 2;
   constexpr int64_t RangePerWriter = 128;
   constexpr int OpsPerWriter = 8000;
-  SynchronizedMap<JavaTreeMap<int64_t, int64_t>, TypeParam> M(sharedContext());
+  SynchronizedMap<JavaTreeMap<int64_t, int64_t>, TypeParam> M(this->ctx());
   std::atomic<bool> Stop{false};
   SpinBarrier Start(Writers + Readers);
   std::vector<std::vector<int64_t>> Final(Writers);
@@ -201,7 +192,7 @@ TYPED_TEST(SynchronizedMapTest, TreeMapConcurrentChurnKeepsInvariants) {
 }
 
 TYPED_TEST(SynchronizedMapTest, HashMapSizeNeverGoesNegative) {
-  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(sharedContext());
+  SynchronizedMap<JavaHashMap<int64_t, int64_t>, TypeParam> M(this->ctx());
   constexpr int Threads = 4, Iters = 3000;
   std::vector<std::thread> Ts;
   for (int T = 0; T < Threads; ++T)

@@ -131,7 +131,7 @@ TEST(Torture, CounterAggregationRacesCleanlyWithIncrements) {
 // or attempts != successes + failures.
 TEST(Torture, GenuineGuestExceptionCountsAsElisionSuccess) {
   RuntimeConfig RC;
-  RC.StartEventBus = false;
+  RC.AsyncEventPeriod = std::chrono::microseconds(0);
   RuntimeContext Ctx(RC);
   SoleroLock L(Ctx);
   ObjectHeader H;
@@ -150,7 +150,7 @@ TEST(Torture, GenuineGuestExceptionCountsAsElisionSuccess) {
 // Same conservation law out of a read-mostly section.
 TEST(Torture, GenuineGuestExceptionCountsAsSuccessInReadMostly) {
   RuntimeConfig RC;
-  RC.StartEventBus = false;
+  RC.AsyncEventPeriod = std::chrono::microseconds(0);
   RuntimeContext Ctx(RC);
   SoleroLock L(Ctx);
   ObjectHeader H;

@@ -10,6 +10,8 @@
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,10 +21,7 @@ using namespace solero::jit;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
+using Translator = SuiteContext<>;
 
 bool containsOp(const TranslatedMethod &T, TOp Op) {
   return std::any_of(T.Code.begin(), T.Code.end(),
@@ -49,7 +48,7 @@ Module buildHotModule() {
 
 } // namespace
 
-TEST(Translator, FusesHotPairsAndTagsBackEdges) {
+TEST_F(Translator, FusesHotPairsAndTagsBackEdges) {
   Module M = buildHotModule();
   TranslatedModule TM = translateModule(M, classifyModule(M, nullptr));
   const TranslatedMethod &T = TM.Methods[0];
@@ -76,7 +75,7 @@ TEST(Translator, FusesHotPairsAndTagsBackEdges) {
     }
 }
 
-TEST(Translator, FusedOpcodesRoundTripThroughDisassembler) {
+TEST_F(Translator, FusedOpcodesRoundTripThroughDisassembler) {
   Module M = buildHotModule();
   TranslatedModule TM = translateModule(M, classifyModule(M, nullptr));
   std::string Text = disassembleTranslated(M, TM, 0);
@@ -96,7 +95,7 @@ TEST(Translator, FusedOpcodesRoundTripThroughDisassembler) {
     EXPECT_NE(Text.find(tOpName(I.op())), std::string::npos);
 }
 
-TEST(Translator, FusionSkipsBranchTargets) {
+TEST_F(Translator, FusionSkipsBranchTargets) {
   // The Add at label L is a branch target: the Const directly before it
   // must NOT be swallowed into a ConstAdd, or the jump would skip the
   // push half of the pair.
@@ -133,7 +132,7 @@ TEST(Translator, FusionSkipsBranchTargets) {
   }
 }
 
-TEST(Translator, SyncEnterCarriesClassificationInlineCache) {
+TEST_F(Translator, SyncEnterCarriesClassificationInlineCache) {
   MethodBuilder B("get", 1, 2);
   B.load(0).syncEnter();
   B.load(0).getField(0).store(1);
@@ -159,7 +158,7 @@ TEST(Translator, SyncEnterCarriesClassificationInlineCache) {
   EXPECT_EQ(static_cast<std::size_t>(It->A), ExitIdx + 1);
 }
 
-TEST(Translator, ProfileTranslationIsExactAndUnfused) {
+TEST_F(Translator, ProfileTranslationIsExactAndUnfused) {
   Module M = buildHotModule();
   TranslatorOptions TO;
   TO.Profile = true;
@@ -177,7 +176,7 @@ TEST(Translator, ProfileTranslationIsExactAndUnfused) {
   EXPECT_EQ(Counts, M.method(0).Code.size());
 }
 
-TEST(Translator, FrameFactsMatchVerifier) {
+TEST_F(Translator, FrameFactsMatchVerifier) {
   Module M = buildHotModule();
   TranslatedModule TM = translateModule(M, classifyModule(M, nullptr));
   VerifiedMethod V = verifyMethod(M, 0);

@@ -21,7 +21,7 @@ namespace {
 
 RuntimeConfig quietConfig() {
   RuntimeConfig C;
-  C.StartEventBus = false;
+  C.AsyncEventPeriod = std::chrono::microseconds(0);
   C.ParkMicros = std::chrono::microseconds(200);
   return C;
 }

@@ -14,16 +14,18 @@
 #include "collections/JavaTreeMap.h"
 #include "collections/SynchronizedMap.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 using namespace solero;
 
 namespace {
 
-RuntimeContext &ctx() {
-  static RuntimeContext Ctx;
-  return Ctx;
-}
+using Harness = SuiteContext<>;
+using MapWorkloadTest = SuiteContext<>;
+using JbbWorkloadTest = SuiteContext<>;
+using DaCapoLikeWorkloadTest = SuiteContext<>;
 
 using HashSyncMap = SynchronizedMap<JavaHashMap<int64_t, int64_t>,
                                     SoleroPolicy>;
@@ -38,7 +40,7 @@ HarnessOptions quickOpts() {
 
 } // namespace
 
-TEST(Harness, CountsOpsAndTime) {
+TEST_F(Harness, CountsOpsAndTime) {
   std::atomic<uint64_t> Calls{0};
   BenchResult R = runThroughput(2, quickOpts(),
                                 [&](int) { Calls.fetch_add(1); });
@@ -48,7 +50,7 @@ TEST(Harness, CountsOpsAndTime) {
   EXPECT_NEAR(R.Seconds, 0.06, 0.04);
 }
 
-TEST(Harness, DeltaCountersAreWindowScoped) {
+TEST_F(Harness, DeltaCountersAreWindowScoped) {
   SoleroPolicy P(ctx());
   BenchResult R = runThroughput(1, quickOpts(), [&](int) {
     P.read([](ReadGuard &) { return 0; });
@@ -59,7 +61,7 @@ TEST(Harness, DeltaCountersAreWindowScoped) {
   EXPECT_GT(R.Delta.ElisionSuccesses, 0u);
 }
 
-TEST(MapWorkload, ReadOnlyProfileElidesEverything) {
+TEST_F(MapWorkloadTest, ReadOnlyProfileElidesEverything) {
   MapWorkloadParams P;
   P.KeySpace = 256;
   P.WritePercent = 0;
@@ -74,7 +76,7 @@ TEST(MapWorkload, ReadOnlyProfileElidesEverything) {
   EXPECT_TRUE(W.verifyFullyPopulated());
 }
 
-TEST(MapWorkload, FivePercentWritesProfile) {
+TEST_F(MapWorkloadTest, FivePercentWritesProfile) {
   MapWorkloadParams P;
   P.KeySpace = 256;
   P.WritePercent = 5;
@@ -87,7 +89,7 @@ TEST(MapWorkload, FivePercentWritesProfile) {
   EXPECT_TRUE(W.verifyFullyPopulated());
 }
 
-TEST(MapWorkload, FineGrainedVariantUsesAllMaps) {
+TEST_F(MapWorkloadTest, FineGrainedVariantUsesAllMaps) {
   MapWorkloadParams P;
   P.KeySpace = 128;
   P.WritePercent = 5;
@@ -103,7 +105,7 @@ TEST(MapWorkload, FineGrainedVariantUsesAllMaps) {
   EXPECT_TRUE(W.verifyFullyPopulated());
 }
 
-TEST(JbbWorkload, RunsAllTransactionTypes) {
+TEST_F(JbbWorkloadTest, RunsAllTransactionTypes) {
   JbbParams P;
   P.Warehouses = 2;
   P.ItemCount = 256;
@@ -115,7 +117,7 @@ TEST(JbbWorkload, RunsAllTransactionTypes) {
   EXPECT_NEAR(R.readOnlyRatio(), 0.54, 0.08);
 }
 
-TEST(JbbWorkload, ScalesShareNothing) {
+TEST_F(JbbWorkloadTest, ScalesShareNothing) {
   JbbParams P;
   P.Warehouses = 4;
   P.ItemCount = 128;
@@ -126,7 +128,7 @@ TEST(JbbWorkload, ScalesShareNothing) {
   EXPECT_EQ(R.Delta.Inflations, 0u);
 }
 
-TEST(DaCapoLikeWorkload, ProfilesMatchTable1ReadOnlyRatios) {
+TEST_F(DaCapoLikeWorkloadTest, ProfilesMatchTable1ReadOnlyRatios) {
   for (const DaCapoProfile &Prof : DaCapoProfiles) {
     DaCapoLikeWorkload<SoleroPolicy> W(ctx(), Prof, /*MaxThreads=*/2);
     BenchResult R = runThroughput(2, quickOpts(), std::ref(W));
@@ -136,7 +138,7 @@ TEST(DaCapoLikeWorkload, ProfilesMatchTable1ReadOnlyRatios) {
   }
 }
 
-TEST(DaCapoLikeWorkload, SoleroOverheadIsBounded) {
+TEST_F(DaCapoLikeWorkloadTest, SoleroOverheadIsBounded) {
   // Figure 16's claim: on low-read-only workloads SOLERO neither helps nor
   // hurts much. Functional smoke only (timing asserts are not portable):
   // both policies complete and stay consistent.
