@@ -12,6 +12,8 @@
 #   SAME_PER_PROTOCOL  keys whose value must be identical in every row of
 #               one protocol (a per-lock property such as bytes_per_lock
 #               must not change between variants or thread counts)
+#   NONZERO_KEYS  keys whose value must be above 0 in every row of every
+#               protocol (a mechanism the run must be seen firing)
 if(NOT DEFINED PROTOCOLS)
   set(PROTOCOLS "Lock,RWLock,BravoRW,SOLERO")
 endif()
@@ -77,6 +79,27 @@ if(DEFINED SAME_PER_PROTOCOL)
         message(FATAL_ERROR "${JSON}: ${PROTO} rows disagree on \"${KEY}\" "
                             "(values: ${VALUES})")
       endif()
+    endforeach()
+  endforeach()
+endif()
+# Mechanisms the run must show firing: every row of every protocol.
+if(DEFINED NONZERO_KEYS)
+  string(REPLACE "," ";" NONZERO_KEYS "${NONZERO_KEYS}")
+  foreach(KEY ${NONZERO_KEYS})
+    foreach(PROTO ${PROTOCOLS})
+      string(REGEX MATCHALL
+             "\"protocol\": \"${PROTO}\"[^}]*\"${KEY}\": [^,}]+"
+             HITS "${DOC}")
+      if(NOT HITS)
+        message(FATAL_ERROR "${JSON}: ${PROTO} has no \"${KEY}\" value")
+      endif()
+      foreach(HIT ${HITS})
+        string(REGEX REPLACE ".*\"${KEY}\": " "" V "${HIT}")
+        if(NOT V GREATER 0)
+          message(FATAL_ERROR "${JSON}: ${PROTO} reports \"${KEY}\": ${V}; "
+                              "the run must show it above 0")
+        endif()
+      endforeach()
     endforeach()
   endforeach()
 endif()

@@ -8,13 +8,12 @@
 /// DESIGN.md §17): each selected policy serves a fixed-rate *open-loop*
 /// load — Poisson arrivals, Zipfian key popularity — under a seeded
 /// ChaosDirector fault campaign, with deadline cancellation, token-bucket
-/// GET retries, priority load shedding, the stuck-speculation watchdog,
-/// and the ShardedKv torture oracles (stress/KvOracle.h: exclusion, pair
-/// conservation, scan consistency, churn bitmap, leak, released shard
-/// locks) asserted throughout and at the end. Each request is charged from
-/// its scheduled arrival time, so a stalled worker pays its backlog in the
-/// tail (the BRAVO paper's open-loop argument). Exit code is nonzero on
-/// any oracle violation.
+/// GET retries, priority load shedding, and the ShardedKv torture oracles
+/// (stress/KvOracle.h: exclusion, pair conservation, scan consistency,
+/// churn bitmap, leak, released shard locks) asserted throughout and at
+/// the end. Each request is charged from its scheduled arrival time, so a
+/// stalled worker pays its backlog in the tail (the BRAVO paper's
+/// open-loop argument). Exit code is nonzero on any oracle violation.
 ///
 /// The policies' read-path speed is measured closed-loop by perfbench
 /// (`kv-read-hot`, `kv-write-churn`, `kv-scan-mix`): an open-loop p99 on
@@ -34,7 +33,6 @@
 #include "resilience/Deadline.h"
 #include "resilience/RetryBudget.h"
 #include "resilience/ShedController.h"
-#include "resilience/Watchdog.h"
 #include "stress/ChaosDirector.h"
 #include "stress/KvOracle.h"
 #include "support/Backoff.h"
@@ -88,7 +86,6 @@ struct SoakParams {
   double RetryBurst = 20;
   stress::ChaosConfig Chaos;
   resilience::ShedConfig Shed;
-  resilience::WatchdogConfig Wd;
 };
 
 /// Prefills \p Store with keys [0, P.Keys), the Zipfian sampler's range.
@@ -271,17 +268,6 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
   const unsigned Threads = static_cast<unsigned>(P.Threads);
   stress::KvOracle Oracle(Store, Threads, ChaosChurnPerThread);
 
-  // The watchdog guards each shard's elision controller or BRAVO bias,
-  // where the policy has one; every policy gets the stall detector.
-  resilience::SpeculationWatchdog Wd(P.Wd);
-  for (unsigned S = 0; S < ShardCount; ++S) {
-    auto &Lock = Store.shardPolicy(S);
-    if constexpr (requires { Lock.protocol().controller(); })
-      Wd.watchController(&Lock.protocol().controller());
-    else if constexpr (requires { Lock.protocol().revocations(); })
-      Wd.watchBravo(&Lock.protocol());
-  }
-
   stress::ChaosConfig CC = P.Chaos;
   CC.Shards = ShardCount;
   CC.DurationNs = P.DurationNs;
@@ -338,15 +324,12 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
     }
   });
 
-  // One admitted request against shard \p S: bracketed for the watchdog,
-  // delayed by any slow-shard fault, recorded into both latency views.
+  // One admitted request against shard \p S: delayed by any slow-shard
+  // fault, recorded into both latency views.
   auto Dispatch = [&](unsigned T, unsigned S, uint64_t DueNs, auto &&Op) {
-    const uint32_t Slot = ThreadRegistry::current().slot();
-    Wd.opBegin(Slot, nowNs());
     if (uint64_t Delay = Director.shardDelayNs(S))
       waitUntil(nowNs() + Delay);
     Op();
-    Wd.opEnd(Slot);
     Banks[BankSel.load(std::memory_order_acquire)][T].record(
         Driver.record(T, DueNs));
   };
@@ -411,13 +394,11 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
     DrainRetries(T, W);
   };
 
-  Wd.start();
   LoadResult Run = Driver.run(
       Serve, [&](uint64_t BeginNs) { Director.start(BeginNs); });
   Director.stop();
   MonitorRun.store(false, std::memory_order_release);
   Monitor.join();
-  Wd.stop();
 
   // --- End-of-run oracles (quiescent, so every check is exact) -----------
   uint64_t Violations = 0;
@@ -442,9 +423,6 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
   Violations += Failures.size();
 
   // --- Report: one name/value list feeds stdout and the JSON row --------
-  for (const auto &Diag : Wd.diagnostics())
-    std::printf("%s\n", Diag.render().c_str());
-  resilience::SpeculationWatchdog::Stats WS = Wd.stats();
   std::vector<JsonReport::Extra> Report = {
       {"offered_per_sec", P.RatePerSec},
       {"admitted_p50_us", usOf(Run.P50Ns)},
@@ -464,11 +442,6 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const SoakParams &P,
       {"degraded_windows", static_cast<double>(Shed.degradedWindows())},
       {"faults_applied", static_cast<double>(Director.faultsApplied())},
       {"corrupt_restores_rejected", static_cast<double>(Rejected)},
-      {"wd_stalls", static_cast<double>(WS.StallsDetected)},
-      {"wd_failure_storms", static_cast<double>(WS.FailureStorms)},
-      {"wd_revocation_storms", static_cast<double>(WS.RevocationStorms)},
-      {"wd_forced_disables", static_cast<double>(WS.ForcedDisables)},
-      {"wd_forced_revocations", static_cast<double>(WS.ForcedRevocations)},
       {"oracle_violations", static_cast<double>(Violations)}};
   std::printf("admitted %llu:", static_cast<unsigned long long>(Run.Bench.Ops));
   for (std::size_t I = 0; I < Report.size(); ++I)
@@ -491,7 +464,7 @@ int main(int Argc, char **Argv) {
                {"chaos-gap-ms", "chaos-kinds", "chaos-max-ms", "chaos-min-ms",
                 "deadline-us", "degraded-slo-us", "duration-ms", "keys", "pin",
                 "policies", "rate", "retry-burst", "retry-rate", "shards",
-                "shed-window-ms", "slow-shard-us", "stall-bound-ms", "zipf"});
+                "shed-window-ms", "slow-shard-us", "zipf"});
   printBanner("KV service", "sharded store under a seeded fault campaign",
               "beyond the paper: open-loop overload resilience (DESIGN.md "
               "§17);\nno oracle may break under any fault, on any policy.");
@@ -529,7 +502,6 @@ int main(int Argc, char **Argv) {
   // Shed before deadlines blow: breach at half the request budget.
   P.Shed.SloP99Ns = P.DeadlineNs / 2;
   P.Shed.BacklogBreachNs = P.DeadlineNs;
-  P.Wd.StallBoundNs = NsFlag("stall-bound-ms", 100, Ms);
 
   std::printf("shards=%u keys=%llu zipf=%.2f threads=%d window=%llums pin=%d\n"
               "chaos: deadline %llu us, degraded SLO %llu us, rate %g/s, "
@@ -542,8 +514,7 @@ int main(int Argc, char **Argv) {
               P.RetryPerSec, P.RetryBurst);
 
   const ZipfianSampler Zipf(P.Keys, P.Zipf);
-  // The default is the two adaptive-speculation stacks (the states the
-  // watchdog guards).
+  // The default is the two adaptive-speculation stacks.
   std::string Policies =
       Env.Args.getString("policies", "Adaptive-SOLERO,BravoRW");
   JsonReport Json("kv_service");

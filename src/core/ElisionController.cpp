@@ -156,22 +156,6 @@ void ElisionController::finishReprobe(ThreadState &TS, uint32_t A,
   disable(TS); // still failing: back off for a longer skip window
 }
 
-void ElisionController::forceDisable() {
-  // The watchdog acts on pathology evidence, not window ratios, so it
-  // charges the maximum budget directly: the lock stays off speculation
-  // for DisabledSkipMax sections before the first re-probe samples
-  // whether the pathology cleared. No ThreadState counter is charged —
-  // the caller is a monitor thread, and forced actions are accounted in
-  // the watchdog's own stats instead.
-  Stats.Skip.store(static_cast<int32_t>(Cfg.DisabledSkipMax),
-                   std::memory_order_relaxed);
-  Stats.SkipWindow.store(Cfg.DisabledSkipMax, std::memory_order_relaxed);
-  Stats.Attempts.store(0, std::memory_order_relaxed);
-  Stats.Failures.store(0, std::memory_order_relaxed);
-  Stats.State.store(static_cast<uint32_t>(ElisionState::Disabled),
-                    std::memory_order_relaxed);
-}
-
 void ElisionController::disable(ThreadState &TS) {
   uint32_t W = Stats.SkipWindow.load(std::memory_order_relaxed);
   if (W == 0)

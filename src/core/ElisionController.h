@@ -187,15 +187,6 @@ public:
   /// scratch that rebuilds within one WindowAttempts window.
   ElisionSnapshot snapshot() const;
 
-  /// Watchdog recovery hook (src/resilience/Watchdog.h): unconditionally
-  /// drives the cell to Disabled with a full DisabledSkipMax skip budget,
-  /// bypassing the evidence-driven window machinery. Safe to call from
-  /// any thread at any time — same relaxed-store discipline as the
-  /// internal disable(), and a racing reader at worst runs one more
-  /// speculation under a stale decision (which is always a correct path).
-  /// Recovery is the normal Reprobe cadence once the budget drains.
-  void forceDisable();
-
   /// Rehydrates the cell from \p S. Requires quiescence (see snapshot()).
   /// Returns false — leaving the cell in its cold state — when \p S is
   /// inconsistent (unknown state, failures exceeding attempts); repairable

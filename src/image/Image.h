@@ -34,7 +34,7 @@ namespace image {
 /// images of any other version (version skew degrades to cold start by
 /// policy — no cross-version migration code to get wrong).
 inline constexpr uint32_t ImageMagic = 0x534F4C49; // "SOLI"
-inline constexpr uint32_t ImageVersion = 2;
+inline constexpr uint32_t ImageVersion = 3;
 
 /// Why an image failed to load.
 enum class ImageDiag : uint8_t {

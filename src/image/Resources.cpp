@@ -68,7 +68,6 @@ bool solero::image::readControllerState(ImageReader &R, ElisionController &C) {
 void solero::image::writeBravoState(ImageWriter &W, const BravoRwLock &L) {
   BravoSnapshot S = L.snapshot();
   W.u8(S.RBias ? 1 : 0);
-  W.i64(S.InhibitRemainingNs);
   W.u64(S.Revocations);
 }
 
@@ -78,7 +77,6 @@ bool solero::image::readBravoState(ImageReader &R, BravoRwLock &L) {
     return false;
   BravoSnapshot S;
   S.RBias = Bias != 0;
-  S.InhibitRemainingNs = R.i64();
   S.Revocations = R.u64();
   return !R.failed() && L.restore(S);
 }

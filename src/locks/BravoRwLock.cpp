@@ -9,7 +9,6 @@
 #include "stress/InjectionPoint.h"
 #include "support/Assert.h"
 #include "support/Backoff.h"
-#include "support/Clock.h"
 #include "support/NumaTopology.h"
 
 using namespace solero;
@@ -168,13 +167,6 @@ void BravoRwLock::writeLock() {
   // cannot overlap any write hold.
   if (RBias.load(std::memory_order_acquire))
     revokeBias();
-  else if (ForcedDrainPending.load(std::memory_order_acquire) &&
-           ForcedDrainPending.exchange(false, std::memory_order_acq_rel))
-    // A watchdog forceRevokeBias() cleared the bias without draining:
-    // readers published before that clear may still be inside their
-    // sections, invisible to the underlying lock. This writer completes
-    // the revocation the watchdog could not block on.
-    BravoReaderTable::instance().waitForReadersOf(this);
 }
 
 void BravoRwLock::writeUnlock() { Underlying.writeUnlock(); }
@@ -189,27 +181,6 @@ void BravoRwLock::revokeBias() {
   // under the write hold, so every slow reader (which counts down under a
   // read hold) sees it.
   SlowReadBudget.store(RearmAfterSlowReads, std::memory_order_relaxed);
-  Revocations.fetch_add(1, std::memory_order_relaxed);
-}
-
-void BravoRwLock::forceRevokeBias(int64_t InhibitNs) {
-  // Deadline first: once RBias drops, any slow-path reader may call
-  // maybeReenableBias(), and it must already see the forced window or the
-  // forced revocation would bounce straight back.
-  if (InhibitNs < 1000)
-    InhibitNs = 1000;
-  ForcedUntil.store(static_cast<int64_t>(nowNs()) + InhibitNs,
-                    std::memory_order_relaxed);
-  // Drain flag before the clear: a writer that observes RBias == false
-  // must also observe the pending drain (release/acquire pairing on the
-  // two flags via the seq_cst exchange below).
-  ForcedDrainPending.store(true, std::memory_order_release);
-  if (!RBias.exchange(false, std::memory_order_seq_cst))
-    return; // already unbiased; the forced window still holds
-  // Dekker against the reader's {publish; fence; recheck}: the seq_cst
-  // exchange above plays the writer's {clear; fence} role, so a reader
-  // that slipped in biased has a publication the deferred drain scan is
-  // guaranteed to observe.
   Revocations.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -229,27 +200,12 @@ void BravoRwLock::maybeReenableBias() {
     if (Left != 0)
       return;
   }
-  // Only a forced window is timed, and only a spent budget reads its
-  // clock: inside the window the budget refills, past it the window ends.
-  int64_t Until = ForcedUntil.load(std::memory_order_relaxed);
-  if (Until != 0) {
-    if (static_cast<int64_t>(nowNs()) < Until) {
-      SlowReadBudget.store(RearmAfterSlowReads, std::memory_order_relaxed);
-      return;
-    }
-    ForcedUntil.store(0, std::memory_order_relaxed);
-  }
   RBias.store(true, std::memory_order_release);
 }
 
 BravoSnapshot BravoRwLock::snapshot() const {
   BravoSnapshot S;
   S.RBias = RBias.load(std::memory_order_relaxed);
-  int64_t Until = ForcedUntil.load(std::memory_order_relaxed);
-  if (Until != 0) {
-    int64_t Remaining = Until - static_cast<int64_t>(nowNs());
-    S.InhibitRemainingNs = Remaining > 0 ? Remaining : 0;
-  }
   S.Revocations = Revocations.load(std::memory_order_relaxed);
   return S;
 }
@@ -257,14 +213,7 @@ BravoSnapshot BravoRwLock::snapshot() const {
 bool BravoRwLock::restore(const BravoSnapshot &S) {
   if (readerCount() != 0 || Underlying.writeHeldByCurrentThread())
     return false; // not quiesced: a live hold would race the bias flip
-  if (S.InhibitRemainingNs < 0)
-    return false; // no transition produces a negative remainder
   Revocations.store(S.Revocations, std::memory_order_relaxed);
-  ForcedUntil.store(
-      S.InhibitRemainingNs > 0
-          ? static_cast<int64_t>(nowNs()) + S.InhibitRemainingNs
-          : 0,
-      std::memory_order_relaxed);
   // An image captured with bias on restores warm only if this process's
   // config still allows bias; release-ordered like maybeReenableBias so
   // the first biased reader sees fully initialized state.

@@ -29,7 +29,7 @@
 ///     per write revokes on under half its writes, and a pure write storm
 ///     never re-arms, so write-heavy locks converge to the plain underlying
 ///     lock instead of paying a table scan per write. Neither side reads a
-///     clock, except inside a watchdog's forced window (forceRevokeBias).
+///     clock.
 ///
 /// Slot placement differs from the original's single global array: the
 /// table is partitioned by NUMA node (support/NumaTopology.h), and a
@@ -122,13 +122,9 @@ private:
 
 /// A quiesced copy of one BravoRwLock's adaptive state: the learned bias
 /// state a warm image stores (image/Resources.h writeBravoState). The
-/// forced-window deadline is serialized as *remaining* nanoseconds: the
-/// absolute steady_clock deadline is meaningless in another process (or
-/// even later in this one). The slow-read budget is not stored; it is
-/// refilled by the next revocation.
+/// slow-read budget is not stored; it is refilled by the next revocation.
 struct BravoSnapshot {
   bool RBias = false;
-  int64_t InhibitRemainingNs = 0;
   uint64_t Revocations = 0;
 };
 
@@ -162,29 +158,14 @@ public:
     return Revocations.load(std::memory_order_relaxed);
   }
 
-  /// Watchdog recovery hook (src/resilience/Watchdog.h): revokes reader
-  /// bias from *outside* the write path and inhibits re-arming for
-  /// \p InhibitNs (a forced window: slow reads that spend their budget
-  /// inside it refill it instead of re-arming). Unlike the writer's
-  /// revokeBias() this does NOT drain published readers — the caller is a
-  /// monitor thread diagnosing a stall, and spinning it on the very reader
-  /// it suspects is stuck would hang the watchdog too. Mutual exclusion is
-  /// preserved by a deferred drain: the flag set here makes the *next*
-  /// writer (which must exclude those readers anyway) run the revocation
-  /// scan even though it observes RBias already clear. New readers observe
-  /// the cleared bias and queue on the underlying lock immediately.
-  void forceRevokeBias(int64_t InhibitNs = 50'000'000);
-
-  /// Captures bias/forced-window/revocation state for a warm image.
-  /// Quiesce first (no reader or writer in flight) for a consistent
-  /// capture.
+  /// Captures bias and revocation state for a warm image. Quiesce first
+  /// (no reader or writer in flight) for a consistent capture.
   BravoSnapshot snapshot() const;
 
   /// Rehydrates from \p S. Requires quiescence; refuses (returns false,
   /// stays cold) while any read hold is visible, since a published biased
   /// reader must never coexist with a restore-time bias flip. Bias is
-  /// re-enabled only when this lock's config allows it, and a forced
-  /// window resumes with the image's remaining duration from *now*.
+  /// re-enabled only when this lock's config allows it.
   bool restore(const BravoSnapshot &S);
 
   template <typename Fn> decltype(auto) synchronizedWrite(Fn &&F) {
@@ -226,15 +207,6 @@ private:
   ReadWriteLock Underlying;
   alignas(CacheLineSize) BravoConfig Config;
   std::atomic<bool> RBias{false};
-  /// Set by forceRevokeBias(): published biased readers may still be
-  /// draining, so the next writer must run the table scan even though it
-  /// sees RBias already clear. Consumed (exchange to false) under the
-  /// underlying write lock, so at most one writer pays the scan.
-  std::atomic<bool> ForcedDrainPending{false};
-  /// steady_clock ns deadline of a forced window (forceRevokeBias or a
-  /// restored image); 0 when none is pending. Read only by a slow read
-  /// that has spent the budget.
-  std::atomic<int64_t> ForcedUntil{0};
   std::atomic<uint64_t> Revocations{0};
 };
 

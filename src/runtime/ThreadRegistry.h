@@ -219,8 +219,8 @@ class ThreadRegistry {
 public:
   /// Hard capacity on concurrently registered threads. Slots are recycled
   /// at thread exit, so this bounds *live* threads, not lifetime threads.
-  /// Process-wide tables keyed by slot() (the BRAVO visible-readers table,
-  /// the watchdog's op table) size them from this constant;
+  /// Process-wide tables keyed by slot() (the BRAVO visible-readers table)
+  /// size them from this constant;
   /// registerThread() aborts with a diagnostic rather than hand out a slot
   /// those arrays would index out of bounds. Each element a thread writes
   /// must own its cache line (tools/layout_lint.py checks this), and no

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The one monotonic timestamp source: steady_clock nanoseconds since its
-/// epoch. Locks (BRAVO inhibit windows), the watchdog, the chaos director
-/// and the KV bench all stamp with it, so their timestamps compare.
+/// epoch. The chaos director and the KV bench both stamp with it, so
+/// their timestamps compare.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -141,7 +141,7 @@ public:
   /// gap after it. \p CatchUpBurstMax bounds the backlog in *mean gaps*
   /// (approximately: arrivals).
   ArrivalSchedule(const PoissonProcess &Proc, uint64_t StartNs,
-                  Xoshiro256StarStar &Rng, uint64_t CatchUpBurstMax = 1024)
+                  Xoshiro256StarStar &Rng, uint64_t CatchUpBurstMax)
       : Proc(Proc), Next(StartNs + Proc.nextGapNs(Rng)),
         BacklogBoundNs(static_cast<uint64_t>(
             Proc.meanGapNs() * static_cast<double>(CatchUpBurstMax))) {}
@@ -150,18 +150,8 @@ public:
   /// charged from).
   uint64_t nextArrivalNs() const { return Next; }
 
-  /// Advances past the current arrival. \p Compression > 1 shrinks the
-  /// sampled gap (burst phases); the RNG consumption is one value either
-  /// way, so seeded streams stay aligned.
-  void advance(Xoshiro256StarStar &Rng, double Compression = 1.0) {
-    uint64_t Gap = Proc.nextGapNs(Rng);
-    if (Compression > 1.0) {
-      Gap = static_cast<uint64_t>(static_cast<double>(Gap) / Compression);
-      if (Gap == 0)
-        Gap = 1;
-    }
-    Next += Gap;
-  }
+  /// Advances past the current arrival by one sampled gap.
+  void advance(Xoshiro256StarStar &Rng) { Next += Proc.nextGapNs(Rng); }
 
   /// Enforces the backlog bound against \p NowNs: skips (and counts)
   /// arrivals until the schedule is within CatchUpBurstMax mean gaps of

@@ -20,17 +20,13 @@
 
 #include "runtime/SharedField.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 using namespace solero;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 /// Tiny windows so transitions happen within a handful of sections.
 AdaptiveElisionConfig tinyAdaptive() {

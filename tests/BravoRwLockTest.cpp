@@ -14,6 +14,7 @@
 #include "locks/BravoRwLock.h"
 
 #include "DeadlockGuard.h"
+#include "SuiteContext.h"
 
 #include <gtest/gtest.h>
 
@@ -27,12 +28,6 @@
 using namespace solero;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 /// Takes a read on \p Lock, lets a writer start waiting for it, then
 /// takes a nested read that must pass the waiting writer (it waits for
@@ -177,10 +172,9 @@ TEST_F(BravoRwLockTest, WriteStormKeepsBiasDisabled) {
 }
 
 TEST_F(BravoRwLockTest, BiasReArmsOnSixteenthSlowReadOfTheSameLock) {
-  // A forced window keeps Other's reads on the slow path throughout; they
+  // Other never biases, so its reads take the slow path throughout; they
   // run on this thread between L's, and must not spend L's budget.
-  BravoRwLock Other(Ctx);
-  Other.forceRevokeBias(10'000'000'000); // 10 s
+  BravoRwLock Other(Ctx, BravoConfig{.BiasEnabled = false});
   armBias();
   for (uint64_t Round = 1; Round <= 2; ++Round) {
     L.writeLock(); // revokes: bias off for the next 16 slow reads

@@ -35,11 +35,7 @@ namespace {
 /// one run but not its twin, making the statistic comparison flaky.
 class DispatchDifferential : public SuiteContext<> {
 public:
-  static void SetUpTestSuite() {
-    RuntimeConfig C;
-    C.AsyncEventPeriod = std::chrono::microseconds(0);
-    start(C);
-  }
+  static void SetUpTestSuite() { start(quietConfig()); }
 };
 
 constexpr int NumScratch = 6; // main's scratch locals: slots 2..7

@@ -29,11 +29,7 @@ Module moduleOf(Method M, uint32_t NumStatics = 4) {
 /// skew the elision counters the end-to-end test asserts on.
 class EscapeClassifier : public SuiteContext<> {
 public:
-  static void SetUpTestSuite() {
-    RuntimeConfig C;
-    C.AsyncEventPeriod = std::chrono::microseconds(0);
-    start(C);
-  }
+  static void SetUpTestSuite() { start(quietConfig()); }
 };
 
 /// synchronized (this) { h = new; h.F0 = this.F0; h.F1 = this.F1 + 1;

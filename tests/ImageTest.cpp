@@ -22,6 +22,7 @@
 #include "image/Resources.h"
 
 #include "BenchCommon.h"
+#include "SuiteContext.h"
 #include "core/SoleroLock.h"
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
@@ -45,12 +46,6 @@ using namespace solero;
 using namespace solero::image;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 /// Tiny windows so controller transitions happen within a few sections
 /// (same tuning as AdaptiveElisionTest).
@@ -187,15 +182,18 @@ TEST(ImageFormat, VersionSkewRejected) {
 }
 
 TEST(ImageFormat, PreviousVersionRejected) {
-  // Version-1 images carried derived JIT state in their jit.warm blob;
-  // they must degrade to a cold start, not be parsed as a profile.
-  std::vector<uint8_t> Bytes = sampleImage();
-  ASSERT_EQ(Bytes[4], ImageVersion);
-  Bytes[4] = 1;
-  Diagnostic D;
-  LoadedImage Img = LoadedImage::fromBytes(Bytes, D);
-  EXPECT_FALSE(Img.loaded());
-  EXPECT_EQ(D.Code, ImageDiag::VersionSkew) << D.render();
+  // Version-1 images carried derived JIT state in their jit.warm blob, and
+  // version-2 images a BRAVO forced-window remainder in each BRAVO record;
+  // both must degrade to a cold start, not be parsed as the current layout.
+  for (uint8_t Old : {1, 2}) {
+    std::vector<uint8_t> Bytes = sampleImage();
+    ASSERT_EQ(Bytes[4], ImageVersion);
+    Bytes[4] = Old;
+    Diagnostic D;
+    LoadedImage Img = LoadedImage::fromBytes(Bytes, D);
+    EXPECT_FALSE(Img.loaded());
+    EXPECT_EQ(D.Code, ImageDiag::VersionSkew) << D.render();
+  }
 }
 
 TEST(ImageFormat, BadMagicRejected) {

@@ -7,6 +7,7 @@
 #include "locks/ReadWriteLock.h"
 
 #include "DeadlockGuard.h"
+#include "SuiteContext.h"
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,6 @@
 using namespace solero;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 class ReadWriteLockTest : public ::testing::Test {
 protected:

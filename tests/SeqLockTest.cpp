@@ -7,6 +7,8 @@
 #include "locks/SeqLock.h"
 #include "workloads/LockPolicies.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,9 +57,7 @@ TEST(SeqLock, ReadProtectedRetriesUntilConsistent) {
 // execution is torn by a writer and throws, so it must re-execute; the
 // second, clean execution's throw propagates.
 TEST(SeqLock, PolicyReExecutesTornThrowAndPropagatesCleanOne) {
-  RuntimeConfig RC;
-  RC.AsyncEventPeriod = std::chrono::microseconds(0);
-  RuntimeContext Ctx(RC);
+  RuntimeContext Ctx(quietConfig());
   SeqLockPolicy P(Ctx);
   struct Boom {
     int Execution;

@@ -9,6 +9,8 @@
 #include "runtime/AsyncEventBus.h"
 #include "runtime/SharedField.h"
 
+#include "SuiteContext.h"
+
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -23,12 +25,6 @@ using namespace solero;
 using namespace solero::lockword;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 class SoleroLockTest : public ::testing::Test {
 protected:

@@ -20,9 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 
 namespace solero {
+
+/// A RuntimeConfig whose zero AsyncEventPeriod starts no event bus, so no
+/// async event raises a PollFlag mid-test.
+inline RuntimeConfig quietConfig() {
+  RuntimeConfig C;
+  C.AsyncEventPeriod = std::chrono::microseconds(0);
+  return C;
+}
 
 template <typename Base = ::testing::Test> class SuiteContext : public Base {
 public:

@@ -6,6 +6,8 @@
 
 #include "locks/TasukiLock.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,12 +19,6 @@ using namespace solero;
 using namespace solero::lockword;
 
 namespace {
-
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
-  return C;
-}
 
 class TasukiLockTest : public ::testing::Test {
 protected:

@@ -14,6 +14,8 @@
 #include "core/SoleroLock.h"
 #include "stress/TortureRunner.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,9 +132,7 @@ TEST(Torture, CounterAggregationRacesCleanlyWithIncrements) {
 // genuine section completion: the attempt succeeded and must be counted,
 // or attempts != successes + failures.
 TEST(Torture, GenuineGuestExceptionCountsAsElisionSuccess) {
-  RuntimeConfig RC;
-  RC.AsyncEventPeriod = std::chrono::microseconds(0);
-  RuntimeContext Ctx(RC);
+  RuntimeContext Ctx(quietConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   ProtocolCounters Before = ThreadRegistry::instance().totalCounters();
@@ -149,9 +149,7 @@ TEST(Torture, GenuineGuestExceptionCountsAsElisionSuccess) {
 
 // Same conservation law out of a read-mostly section.
 TEST(Torture, GenuineGuestExceptionCountsAsSuccessInReadMostly) {
-  RuntimeConfig RC;
-  RC.AsyncEventPeriod = std::chrono::microseconds(0);
-  RuntimeContext Ctx(RC);
+  RuntimeContext Ctx(quietConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   ProtocolCounters Before = ThreadRegistry::instance().totalCounters();

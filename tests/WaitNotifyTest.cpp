@@ -8,6 +8,8 @@
 #include "locks/TasukiLock.h"
 #include "runtime/SharedField.h"
 
+#include "SuiteContext.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,9 +21,8 @@ using namespace solero::lockword;
 
 namespace {
 
-RuntimeConfig quietConfig() {
-  RuntimeConfig C;
-  C.AsyncEventPeriod = std::chrono::microseconds(0);
+RuntimeConfig shortParkConfig() {
+  RuntimeConfig C = quietConfig();
   C.ParkMicros = std::chrono::microseconds(200);
   return C;
 }
@@ -29,7 +30,7 @@ RuntimeConfig quietConfig() {
 } // namespace
 
 TEST(TasukiWaitNotify, ProducerConsumerHandshake) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   TasukiLock L(Ctx);
   ObjectHeader H;
   SharedField<int64_t> Queue{0}; // 0 = empty
@@ -61,7 +62,7 @@ TEST(TasukiWaitNotify, ProducerConsumerHandshake) {
 }
 
 TEST(TasukiWaitNotify, WaitReleasesAndReacquires) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   TasukiLock L(Ctx);
   ObjectHeader H;
   std::atomic<int> Stage{0};
@@ -87,7 +88,7 @@ TEST(TasukiWaitNotify, WaitReleasesAndReacquires) {
 }
 
 TEST(TasukiWaitNotify, WaitPreservesRecursion) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   TasukiLock L(Ctx);
   ObjectHeader H;
   std::atomic<bool> Notified{false};
@@ -114,7 +115,7 @@ TEST(TasukiWaitNotify, WaitPreservesRecursion) {
 }
 
 TEST(TasukiWaitNotify, NotifyWithEmptyWaitSetIsNoOp) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   TasukiLock L(Ctx);
   ObjectHeader H;
   L.enter(H);
@@ -125,7 +126,7 @@ TEST(TasukiWaitNotify, NotifyWithEmptyWaitSetIsNoOp) {
 }
 
 TEST(SoleroWaitNotify, HandshakeThroughMonitorHandle) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   SharedField<int64_t> Box{0};
@@ -160,7 +161,7 @@ TEST(SoleroWaitNotify, WaitEpisodeAdvancesCounterForSpanningReaders) {
   // A speculative reader spanning a wait-induced inflate/deflate episode
   // must observe a changed counter (the same Section 3.2 guarantee as for
   // contention-induced inflation).
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   ThreadState &TS = ThreadRegistry::current();
@@ -183,7 +184,7 @@ TEST(SoleroWaitNotify, WaitEpisodeAdvancesCounterForSpanningReaders) {
 }
 
 TEST(SoleroWaitNotify, ElisionResumesAfterWaitEpisode) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   std::thread Waiter([&] {
@@ -199,7 +200,7 @@ TEST(SoleroWaitNotify, ElisionResumesAfterWaitEpisode) {
 }
 
 TEST(SoleroWaitNotify, ManyWaitersAllWake) {
-  RuntimeContext Ctx(quietConfig());
+  RuntimeContext Ctx(shortParkConfig());
   SoleroLock L(Ctx);
   ObjectHeader H;
   SharedField<int64_t> Open{0};
